@@ -5,7 +5,8 @@ Subcommands: kruns, uniform, mgr, gruns (repeat enumeration), psquares
 (empirical count-bound harness), verify (randomized oracle comparison).
 Identical configuration and seed produce byte-identical output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or I/O error.
+Exit codes: 0 success, 1 verification failure, 2 usage or I/O error,
+3 internal error (a failed invariant check).
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def cmd_psquares(args) -> int:
         report = psquares.report_nonequivalent(t)
         enc = ParamEncoder(t) if t.n else None
         for start, length in report.occurrences:
-            canon = enc.code_row(start)[: length // 2]
+            canon = [enc.code(start, j) for j in range(start, start + length // 2)]
             if cfg.fmt == "tsv":
                 print(f"{start}\t{length}\t{','.join(map(str, canon))}")
             else:
@@ -392,6 +393,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc or 'failed invariant check'}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

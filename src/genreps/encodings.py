@@ -37,9 +37,33 @@ class Encoder:
         """Codes of T[i..j] for all j in [i..n]."""
         return [self.code(i, j) for j in range(i, self.text.n + 1)]
 
+    def code_block(self, starts: np.ndarray, t0: int, depth: int) -> np.ndarray:
+        """Code columns t0..t0+depth-1 of the suffixes at `starts`.
+
+        out[r, c] is the code of T[s..s+t0+c] for s = starts[r], or -1 once
+        s+t0+c runs past n.  This default calls `code` once per cell.
+        """
+        n = self.text.n
+        code = self.code
+        out = np.full((len(starts), depth), -1, dtype=np.int64)
+        for r, s in enumerate(starts.tolist()):
+            hi = min(s + t0 + depth, n + 1)
+            if s + t0 < hi:
+                out[r, : hi - s - t0] = [code(s, j) for j in range(s + t0, hi)]
+        return out
+
     def _check(self, i: int, j: int) -> None:
         if not (1 <= i <= j <= self.text.n):
             raise ValueError(f"positions [{i}..{j}] out of range for n={self.text.n}")
+
+
+def _block_cells(starts: np.ndarray, t0: int, depth: int, n: int):
+    """Start column s, end position j (clamped to n) and validity of each
+    cell of a code block; see `Encoder.code_block`."""
+    s = np.asarray(starts, dtype=np.int64)[:, None]
+    j = s + np.arange(t0, t0 + depth)
+    valid = j <= n
+    return s, np.minimum(j, n), valid
 
 
 class _ClipEncoder(Encoder):
@@ -63,6 +87,11 @@ class _ClipEncoder(Encoder):
     def code_row(self, i: int) -> list[int]:
         anchor = self._anchor_list
         return [j - anchor[j] if anchor[j] >= i else 0 for j in range(i, self.text.n + 1)]
+
+    def code_block(self, starts: np.ndarray, t0: int, depth: int) -> np.ndarray:
+        s, j, valid = _block_cells(starts, t0, depth, self.text.n)
+        a = self.anchor[j]
+        return np.where(valid, np.where(a >= s, j - a, 0), -1)
 
 
 class ExactEncoder(Encoder):
@@ -253,96 +282,84 @@ def maximal_palindromes(t: Text) -> PalindromeRadii:
     return PalindromeRadii(odd, even)
 
 
-_SCAN_MAX_N = 32
+def _reach_levels(reach: np.ndarray) -> list[np.ndarray]:
+    """levels[k][c] = max(reach[c .. c + 2^k - 1]), for c in [0..n+1].
 
-
-class _ReachTree:
-    """Merge-sort tree over reach values A[c]; finds the leftmost c in
-    [lo..hi] with A[c] >= bound (successor in the rectangle query).
-
-    Tiny inputs use a direct scan instead of the tree descent.
+    `reach` is 1-based over centres 1..n.  Windows that run past n read
+    as n + 1, above every query bound, so a descent never skips them.
     """
+    n = len(reach) - 1
+    top = np.append(reach, n + 1)
+    levels = [top]
+    for k in range(1, max(n, 1).bit_length()):
+        half = 1 << (k - 1)
+        nxt = np.full(n + 2, n + 1, dtype=np.int64)
+        nxt[: n + 2 - half] = np.maximum(top[: n + 2 - half], top[half:])
+        levels.append(nxt)
+        top = nxt
+    return levels
 
-    def __init__(self, values: np.ndarray):
-        # values is 1-based with index 0 unused
-        n = max(len(values) - 1, 1)
-        self.n = n
-        self.values = [int(v) for v in values]
-        if n <= _SCAN_MAX_N:
-            self.lists = None
-            return
-        size = 1
-        while size < n:
-            size *= 2
-        self.size = size
-        lists: list[list[int]] = [[] for _ in range(2 * size)]
-        for c in range(1, len(values)):
-            lists[size + c - 1] = [int(values[c])]
-        for v in range(size - 1, 0, -1):
-            a, b = lists[2 * v], lists[2 * v + 1]
-            lists[v] = sorted(a + b)
-        self.lists = lists
 
-    def _has(self, v: int, bound: int) -> bool:
-        lst = self.lists[v]
-        return bool(lst) and lst[-1] >= bound
+def _leftmost_reaching(levels, lo, j):
+    """Leftmost centre c >= lo with reach[c] >= j, by binary lifting over
+    `_reach_levels`; works on scalars with list levels and elementwise on
+    arrays with array levels."""
+    c = lo
+    for k in range(len(levels) - 1, -1, -1):
+        c = c + ((levels[k][c] < j) << k)
+    return c
 
-    def leftmost(self, lo: int, hi: int, bound: int) -> int:
-        """Smallest c in [lo..hi] with A[c] >= bound, or 0 if none."""
-        if lo > hi:
-            return 0
-        if self.lists is None:
-            vals = self.values
-            for c in range(lo, hi + 1):
-                if vals[c] >= bound:
-                    return c
-            return 0
-        lo0, hi0 = lo - 1, hi - 1  # leaf indices
-        nodes: list[int] = []
-        a, b = lo0 + self.size, hi0 + self.size
-        right_nodes: list[int] = []
-        while a <= b:
-            if a & 1:
-                nodes.append(a)
-                a += 1
-            if not b & 1:
-                right_nodes.append(b)
-                b -= 1
-            a >>= 1
-            b >>= 1
-        nodes += reversed(right_nodes)
-        for v in nodes:
-            if not self._has(v, bound):
-                continue
-            while v < self.size:
-                v = 2 * v if self._has(2 * v, bound) else 2 * v + 1
-            return v - self.size + 1
-        return 0
+
+def _suffix_palindrome(odd, even, i, j):
+    c_odd = _leftmost_reaching(odd, (i + j + 1) // 2, j)
+    c_even = _leftmost_reaching(even, (i + j) // 2, j)  # c_even == j: none
+    return np.maximum(2 * (j - c_odd) + 1, 2 * (j - c_even))
 
 
 class PalEncoder(Encoder):
-    """Length of the longest suffix palindrome of the substring."""
+    """Length of the longest suffix palindrome of the substring.
+
+    The longest palindrome suffix of T[i..j] has the leftmost centre c
+    whose maximal palindrome reaches j (c + radius >= j) among the centres
+    whose palindrome ending at j starts at or after i.  Codes and code
+    blocks find that centre by a descent over sparse tables of the
+    Manacher reaches.
+    """
 
     relation = "pal"
 
     def __init__(self, text: Text):
         super().__init__(text)
         radii = maximal_palindromes(text)
-        n = text.n
-        self._odd = _ReachTree(np.arange(n + 1) + radii.odd) if n else None
-        self._even = _ReachTree(np.arange(n + 1) + radii.even) if n else None
+        c = np.arange(text.n + 1)
+        self._odd = _reach_levels(c + radii.odd)
+        self._even = _reach_levels(c + radii.even)
+        self._lists = None
 
     def code(self, i: int, j: int) -> int:
         self._check(i, j)
-        best = 1  # T[j..j] always qualifies
-        c = self._odd.leftmost((i + j + 1) // 2, j, j)
-        if c:
-            best = 2 * (j - c) + 1
-        lo = (i + j) // 2  # ceil((i+j-1)/2)
-        c = self._even.leftmost(lo, j - 1, j) if lo <= j - 1 else 0
-        if c:
-            best = max(best, 2 * (j - c))
-        return best
+        if self._lists is None:
+            self._lists = [[lvl.tolist() for lvl in levels] for levels in (self._odd, self._even)]
+        return int(_suffix_palindrome(*self._lists, i, j))
+
+    def code_row(self, i: int) -> list[int]:
+        # the leftmost qualifying centre never moves left as j grows
+        odd, even = self._odd[0].tolist(), self._even[0].tolist()
+        row = []
+        c_odd = c_even = i
+        for j in range(i, self.text.n + 1):
+            c_odd = max(c_odd, (i + j + 1) // 2)
+            while odd[c_odd] < j:
+                c_odd += 1
+            c_even = max(c_even, (i + j) // 2)
+            while even[c_even] < j:
+                c_even += 1
+            row.append(max(2 * (j - c_odd) + 1, 2 * (j - c_even)))
+        return row
+
+    def code_block(self, starts: np.ndarray, t0: int, depth: int) -> np.ndarray:
+        s, j, valid = _block_cells(starts, t0, depth, self.text.n)
+        return np.where(valid, _suffix_palindrome(self._odd, self._even, s, j), -1)
 
 
 _ENCODERS = {

@@ -7,38 +7,47 @@ answers longest-common-equivalent-prefix queries between any two suffixes
 via range-minimum queries.  From it we derive longest-previous-factor
 arrays and a weighted tree view of the compacted trie.
 
-Construction is deterministic: code strings are materialized and sorted
-for small texts; larger texts use prefix doubling (exact matching) or a
-vectorized radix prefilter plus comparator refinement (distance-to-anchor
-encoders).  Adjacent-pair LCPs come from the Kasai rank walk for exact
-matching and from direct walks otherwise, since the rank-walk carry is
-unsound for window-clipped encodings.
+Construction is deterministic.  Tiny texts (n <= _TINY_N) materialize
+and sort the code rows outright.  Larger texts use prefix doubling plus
+the Kasai rank walk for exact matching, and one block sort for every
+other relation: a level-synchronous MSD radix sort that asks the encoder
+for blocks of code columns (`Encoder.code_block`) of all still-tied
+suffixes, lexsorts them within their tie groups, and writes each adjacent
+LCP where a tied pair first differs.  The Kasai carry is not used there,
+since it is unsound for window-clipped encodings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 import numpy as np
 
-from .encodings import Encoder, ExactEncoder, _ClipEncoder, make_encoder
+from .encodings import Encoder, ExactEncoder, make_encoder
 from .text import Text
 
-_SMALL_N = 256
+# Texts up to this length sort materialized rows and scan for range minima
+# in pure Python: numpy's per-call overhead outweighs the block sort and
+# the sparse table on them, and the oracle sweeps build hundreds of
+# thousands of such indexes.
+_TINY_N = 16
+# Code columns read per suffix in the block sort's first round; the depth
+# doubles each round after that.
+_START_DEPTH = 24
+# Upper limit on the code cells one round reads (block rows x columns),
+# which bounds the block's memory; rounds go narrower to stay under it.
+_ROUND_CELLS = 1 << 17
 
 
 class _MinTable:
-    """Range-minimum queries: direct scans on small arrays, a sparse table
-    with O(1) queries above that."""
-
-    _SCAN_MAX = 64
+    """Range-minimum queries: direct scans on the LCP arrays of tiny texts,
+    a sparse table with O(1) queries above that."""
 
     def __init__(self, arr):
         self._list = list(arr)
         m = len(self._list)
         self._m = m
-        if m <= self._SCAN_MAX:
+        if m <= _TINY_N + 1:
             self._levels = None
             return
         base = np.asarray(self._list, dtype=np.int64)
@@ -122,107 +131,42 @@ def _order_exact_large(text: Text) -> np.ndarray:
     return np.concatenate(([n + 1], order + 1))
 
 
-def _clip_cmp(anchor, n: int, t0: int):
-    """Comparator over starts for the clipped-distance code family."""
+def _block_sort(encoder: Encoder, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Suffix order and adjacent LCPs by a level-synchronous MSD block sort.
 
-    def cmp(a: int, b: int) -> int:
-        la, lb = n - a + 1, n - b + 1
-        m = la if la < lb else lb
-        t = t0
-        while t < m:
-            j1 = a + t
-            a1 = anchor[j1]
-            x = j1 - a1 if a1 >= a else 0
-            j2 = b + t
-            a2 = anchor[j2]
-            y = j2 - a2 if a2 >= b else 0
-            if x != y:
-                return -1 if x < y else 1
-            t += 1
-        return -1 if la < lb else 1
-
-    return cmp
-
-
-def _clip_key_block(anchor_np, members: np.ndarray, t0: int, depth: int, n: int) -> list[np.ndarray]:
-    """Code columns t0..t0+depth-1 for the given starts; -1 marks the end."""
-    cols = []
-    for t in range(t0, t0 + depth):
-        j = members + t
-        valid = j <= n
-        jj = np.where(valid, j, 1)
-        a = anchor_np[jj]
-        col = np.where(valid, np.where(a >= members, jj - a, 0), -1)
-        cols.append(col)
-    return cols
-
-
-def _order_clip_large(anchor, n: int) -> np.ndarray:
-    """MSD-style sort of the clip-family code strings.
-
-    Blocks of code columns are extracted vectorized and lexsorted; tied
-    groups recurse on the next block, finishing small groups with the
-    plain comparator.  Deterministic; superlinear only on degenerate texts.
+    Every round reads one block of code columns t0..t0+depth-1 for all
+    suffixes still tied on columns 0..t0-1, lexsorts them keyed on (tie
+    group, block), and sets lcp = t0 + the first differing column for each
+    adjacent pair of a group that the block separates.  Pairs equal on the
+    whole block stay tied.  A suffix's end-marker (-1) differs from any
+    code, so two distinct suffixes never tie past the shorter one's end.
     """
-    anchor_np = np.asarray(anchor, dtype=np.int64)
-    anchor_list = anchor_np.tolist()
-    depth = 24
-    out = np.empty(n + 1, dtype=np.int64)
-    work = [(np.arange(1, n + 2, dtype=np.int64), 0, 0)]
-    while work:
-        members, t0, off = work.pop()
-        m = len(members)
-        if m <= 64:
-            ordered = sorted(members.tolist(), key=cmp_to_key(_clip_cmp(anchor_list, n, t0)))
-            out[off : off + m] = ordered
-            continue
-        cols = _clip_key_block(anchor_np, members, t0, depth, n)
-        perm = np.lexsort(tuple(reversed(cols)))
-        members = members[perm]
-        keys = np.stack(cols, axis=1)[perm]
-        out[off : off + m] = members
-        tied = (keys[1:] == keys[:-1]).all(axis=1)
-        # rows ending inside the block (marker -1) cannot tie: lengths differ
-        if tied.any():
-            idx = np.flatnonzero(np.concatenate(([False], tied)))
-            # group consecutive tied rows into segments [s..e]
-            seg_start = None
-            prev = -2
-            for q in idx.tolist() + [-10]:
-                if q != prev + 1:
-                    if seg_start is not None:
-                        work.append((members[seg_start - 1 : prev + 1].copy(), t0 + depth, off + seg_start - 1))
-                    seg_start = q
-                prev = q
-    return out
-
-
-def _lcp_adjacent_clip(anchor, order: list[int], n: int) -> list[int]:
-    """Adjacent-pair LCPs for the clip family, each computed from scratch.
-
-    The Kasai rank-walk carry is NOT valid here: clipping can reorder the
-    shifted code strings, so the carried h-1 is no lower bound for the new
-    predecessor pair (verified by tests against the materialized path).
-    """
-    m = len(order)
-    lcp = [0] * m
-    olist = list(order)
-    for r in range(1, m):
-        a, b = olist[r - 1], olist[r]
-        limit = min(n - a + 1, n - b + 1)
-        h = 0
-        while h < limit:
-            j1 = a + h
-            a1 = anchor[j1]
-            x = j1 - a1 if a1 >= a else 0
-            j2 = b + h
-            a2 = anchor[j2]
-            y = j2 - a2 if a2 >= b else 0
-            if x != y:
-                break
-            h += 1
-        lcp[r] = h
-    return lcp
+    order = np.arange(1, n + 2, dtype=np.int64)  # the empty suffix n+1 sorts first
+    lcp = np.zeros(n + 1, dtype=np.int64)
+    pos = np.arange(n + 1)  # positions in `order` of the tied suffixes
+    group = np.zeros(n + 1, dtype=np.int64)  # first position of each one's tie group
+    t0 = 0
+    while len(pos) > 1:
+        starts = order[pos]
+        # doubling depth, under the cell budget, and no wider than the
+        # columns the longest tied suffix has left
+        width = n + 1 - int(starts.min()) - t0
+        depth = min(t0 + _START_DEPTH, max(1, _ROUND_CELLS // len(pos)), width)
+        block = encoder.code_block(starts, t0, depth)
+        perm = np.lexsort((*block.T[::-1], group))
+        block = block[perm]
+        order[pos] = starts[perm]
+        neq = block[1:] != block[:-1]
+        same = group[1:] == group[:-1]
+        split = same & neq.any(axis=1)
+        lcp[pos[1:][split]] = t0 + neq[split].argmax(axis=1)
+        tie = same & ~split
+        keep = np.concatenate(([False], tie)) | np.concatenate((tie, [False]))
+        first = keep & ~np.concatenate(([False], tie))
+        group = np.maximum.accumulate(np.where(first, pos, 0))[keep]
+        pos = pos[keep]
+        t0 += depth
+    return order, lcp
 
 
 def _kasai_exact(sym, order: list[int], rank: list[int], n: int) -> list[int]:
@@ -243,21 +187,6 @@ def _kasai_exact(sym, order: list[int], rank: list[int], n: int) -> list[int]:
     return lcp
 
 
-def _lcp_adjacent_walk(encoder: Encoder, order: list[int], n: int) -> list[int]:
-    """Unconditional adjacent-pair LCP computation (no rank-walk carry)."""
-    m = len(order)
-    lcp = [0] * m
-    code = encoder.code
-    for r in range(1, m):
-        a, b = order[r - 1], order[r]
-        limit = min(n - a + 1, n - b + 1)
-        h = 0
-        while h < limit and code(a, a + h) == code(b, b + h):
-            h += 1
-        lcp[r] = h
-    return lcp
-
-
 class ScerIndex:
     """Suffix ordering, LCP array and RMQ over a code-string collection."""
 
@@ -267,33 +196,24 @@ class ScerIndex:
         self.relation = self.encoder.relation
         n = text.n
         self.n = n
-        if n <= _SMALL_N:
+        if n <= _TINY_N:
             order, rows = _sort_rows(self.encoder, n)
             self.order = order
             self.rank = self._order_ranks()
             self.lcp = _lcp_from_rows(order, rows)
-        else:
-            if isinstance(self.encoder, ExactEncoder):
-                self.order = _order_exact_large(text).tolist()
-            elif isinstance(self.encoder, _ClipEncoder):
-                self.order = _order_clip_large(self.encoder.anchor, n).tolist()
-            else:
-                cmp = _generic_cmp(self.encoder, n)
-                self.order = sorted(range(1, n + 2), key=cmp_to_key(cmp))
+        elif isinstance(self.encoder, ExactEncoder):
+            self.order = _order_exact_large(text).tolist()
             self.rank = self._order_ranks()
-            self.lcp = self._build_lcp_large()
+            self.lcp = _kasai_exact(text.padded, self.order, self.rank, n)
+        else:
+            order, lcp = _block_sort(self.encoder, n)
+            self.order = order.tolist()
+            self.rank = self._order_ranks()
+            self.lcp = lcp.tolist()
         self._rmq: _MinTable | None = None
         self._lpf: np.ndarray | None = None
         self._tree: TreeView | None = None
         self._rank_np: np.ndarray | None = None
-
-    def _build_lcp_large(self) -> list[int]:
-        n = self.n
-        if isinstance(self.encoder, ExactEncoder):
-            return _kasai_exact(self.text.padded, self.order, self.rank, n)
-        if isinstance(self.encoder, _ClipEncoder):
-            return _lcp_adjacent_clip(self.encoder.anchor.tolist(), self.order, n)
-        return _lcp_adjacent_walk(self.encoder, self.order, n)
 
     def _order_ranks(self) -> list[int]:
         rank = [0] * (self.n + 2)
@@ -392,22 +312,6 @@ class ScerIndex:
             f"{r}\t{self.order[r]}\t{self.lcp[r]}" for r in range(len(self.order))
         ]
         return "\n".join(lines) + "\n"
-
-
-def _generic_cmp(encoder: Encoder, n: int):
-    code = encoder.code
-
-    def cmp(a: int, b: int) -> int:
-        la, lb = n - a + 1, n - b + 1
-        m = la if la < lb else lb
-        for t in range(m):
-            x = code(a, a + t)
-            y = code(b, b + t)
-            if x != y:
-                return -1 if x < y else 1
-        return -1 if la < lb else 1
-
-    return cmp
 
 
 class TreeView:

@@ -148,3 +148,18 @@ def test_bounds_deterministic_and_ratios():
         assert float(row["grun_ratio"]) < 1.0
         assert float(row["mgr_ratio_max"]) < 1.0
         assert float(row["uniform_ratio"]) < 200.0
+
+
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    from genreps import cli, counting
+
+    def broken(index, rev_index=None):
+        raise AssertionError("interval table out of order")
+
+    monkeypatch.setattr(counting, "squares_table", broken)
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"abab")
+    assert cli.main(["count", str(path), "--relation", "exact"]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: interval table out of order" in err
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_text
@@ -202,3 +203,23 @@ def test_profile_shift_property():
                     assert oracle.param_match(
                         s[i - 1 : i + ell - 1], s[i + ell - 1 : i + 2 * ell - 1]
                     )
+
+
+def test_pal_code_and_block_match_oracle():
+    rng = random.Random(40)
+    texts = [random_text(rng, rng.randint(0, 80), rng.choice([2, 3])) for _ in range(30)]
+    for n in (1, 2, 17, 64, 80):
+        texts += [text_from_symbols((unit * n)[:n]) for unit in ([0], [0, 1], [0, 1, 2], [0, 0, 1])]
+    for t in texts:
+        n = t.n
+        enc = make_encoder(t, "pal")
+        rows = oracle.canonical_rows(t, "pal")
+        for i in range(1, n + 1):
+            assert [enc.code(i, j) for j in range(i, n + 1)] == rows[i]
+            assert enc.code_row(i) == rows[i]
+        starts = np.arange(1, n + 2)
+        for t0, depth in ((0, n + 1), (3, 5), (n // 2, 9)):
+            block = enc.code_block(starts, t0, depth).tolist()
+            for s, got in zip(starts.tolist(), block):
+                want = rows[s][t0 : t0 + depth] if s <= n else []
+                assert got == want + [-1] * (depth - len(want))

@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
 from conftest import random_text
-from genreps import oracle
+from genreps import index, oracle
 from genreps.encodings import RELATIONS, make_encoder
 from genreps.index import ScerIndex, _lcp_from_rows, _sort_rows, lpf_arrays
 from genreps.text import parse_text, text_from_symbols
@@ -136,29 +137,89 @@ def test_order_invariant_under_alphabet_bijection():
         assert list(a.lcp) == list(b.lcp)
 
 
+def _materialized(t, rel):
+    order, rows = _sort_rows(make_encoder(t, rel), t.n)
+    return order, _lcp_from_rows(order, rows)
+
+
 def test_large_path_equals_materialized():
-    """Above the size threshold the comparator sort + LCP walks must agree
-    with the materialized-row ground truth."""
+    """Above the tiny-text cut-off, prefix doubling (exact) and the block
+    sort (every other relation) must agree with the materialized rows."""
     rng = random.Random(16)
-    for rel in ("exact", "param", "ct", "ct_suffix", "op"):
+    for rel in ("exact", "param", "ct", "ct_suffix", "op", "pal", "recency"):
         n = rng.randint(280, 420)
         t = random_text(rng, n, rng.choice([2, 3, 4]))
         idx = ScerIndex(t, rel)
-        enc = make_encoder(t, rel)
-        order, rows = _sort_rows(enc, n)
+        order, lcp = _materialized(t, rel)
         assert list(idx.order) == order, rel
-        assert list(idx.lcp) == list(_lcp_from_rows(order, rows)), rel
+        assert list(idx.lcp) == lcp, rel
 
 
 def test_large_path_degenerate_texts():
     for syms in ([0] * 300, [0, 1] * 160, [0, 0, 1] * 110):
         t = text_from_symbols(syms)
-        for rel in ("exact", "param", "ct"):
+        for rel in ("exact", "param", "ct", "ct_suffix", "op", "pal"):
             idx = ScerIndex(t, rel)
-            enc = make_encoder(t, rel)
-            order, rows = _sort_rows(enc, t.n)
-            assert list(idx.order) == order
-            assert list(idx.lcp) == list(_lcp_from_rows(order, rows))
+            order, lcp = _materialized(t, rel)
+            assert list(idx.order) == order, rel
+            assert list(idx.lcp) == lcp, rel
+
+
+def test_block_sort_narrow_rounds(monkeypatch):
+    """One column per round and a budget far below the tied rows: many
+    rounds, many tie groups per round, on every non-exact relation."""
+    monkeypatch.setattr(index, "_TINY_N", 0)
+    monkeypatch.setattr(index, "_START_DEPTH", 1)
+    monkeypatch.setattr(index, "_ROUND_CELLS", 16)
+    rng = random.Random(20)
+    for _ in range(400):
+        t = random_text(rng, rng.randint(0, 70), rng.choice([1, 2, 3, 4]))
+        for rel in ("param", "op", "ct", "ct_suffix", "pal", "recency"):
+            idx = ScerIndex(t, rel)
+            order, lcp = _materialized(t, rel)
+            assert list(idx.order) == order, (rel, t.symbols)
+            assert list(idx.lcp) == lcp, (rel, t.symbols)
+
+
+def _fibonacci(n):
+    a, b = [0], [0, 1]
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+@pytest.mark.parametrize(
+    "name, rel",
+    [("random2", "param"), ("fib", "param"), ("fib", "ct"), ("unary", "pal")],
+)
+def test_block_sort_work_bound(name, rel):
+    """Rounds grow with log(max LCP) and cells with the LCP sum.
+
+    The depth doubles each round unless the cell budget narrows it, so
+    the rounds not narrowed are at most log2(1 + max LCP / start) + 1.
+    A suffix still tied after a round has an LCP of at least the columns
+    read so far, so it reads at most the start depth plus twice its
+    longer LCP with a sorted neighbour; on these texts the total stays
+    under 2 * sum(lcp) + start * (n + 1).
+    """
+    if name == "random2":
+        t = random_text(random.Random(22), 11000, 2)
+    else:
+        t = text_from_symbols(_fibonacci(377) if name == "fib" else [0] * 389)
+    enc = make_encoder(t, rel)
+    calls = []
+    block = enc.code_block
+
+    def counted(starts, t0, depth):
+        calls.append((len(starts), t0, depth))
+        return block(starts, t0, depth)
+
+    enc.code_block = counted
+    idx = ScerIndex(t, rel, encoder=enc)
+    start, budget = index._START_DEPTH, index._ROUND_CELLS
+    narrowed = sum(1 for m, t0, d in calls if d < t0 + start and d == max(1, budget // m))
+    assert len(calls) - narrowed <= math.ceil(math.log2(1 + max(idx.lcp) / start)) + 1
+    assert sum(m * d for m, _, d in calls) <= 2 * sum(idx.lcp) + start * (t.n + 1)
 
 
 def test_quasi_suffix_condition_holds():
