@@ -36,10 +36,7 @@ class RunConfig:
     relation: str = "param"
     k: int = 0
     periods: object = None
-    seed: int = 0
     fmt: str = "tsv"
-    cap: int = oracle.BRUTE_CAP
-    threads: int = 1
 
 
 def _default_threads() -> int:
@@ -65,10 +62,7 @@ def _config(args) -> RunConfig:
         relation=getattr(args, "relation", "param"),
         k=getattr(args, "k", 0),
         periods=_parse_periods(getattr(args, "period", None)),
-        seed=getattr(args, "seed", 0),
         fmt=getattr(args, "fmt", "tsv"),
-        cap=getattr(args, "cap", oracle.BRUTE_CAP),
-        threads=getattr(args, "threads", 1),
     )
     if cfg.k < 0:
         raise ValueError("k must be >= 0")
@@ -211,6 +205,16 @@ def _random_text(rng: random.Random, n: int, sigma: int) -> Text:
     return text_from_symbols([rng.randrange(sigma) for _ in range(n)])
 
 
+def _starmap(func, jobs: list[tuple], threads: int) -> list:
+    """[func(*job) for job in jobs], on a pool of at most one worker per job."""
+    if threads > 1 and jobs:
+        from multiprocessing import Pool
+
+        with Pool(min(threads, len(jobs))) as pool:
+            return pool.starmap(func, jobs)
+    return [func(*job) for job in jobs]
+
+
 def _bounds_row(n: int, k: int, sigma: int, trial: int, seed: int, metrics) -> list[str]:
     rng = random.Random(seed * 1_000_003 + trial)
     t = _random_text(rng, n, sigma)
@@ -275,13 +279,7 @@ def cmd_bounds(args) -> int:
         for sigma in sigmas
         for trial in range(args.trials)
     ]
-    if args.threads > 1:
-        from multiprocessing import Pool
-
-        with Pool(args.threads) as pool:
-            rows = pool.starmap(_bounds_row, jobs)
-    else:
-        rows = [_bounds_row(*job) for job in jobs]
+    rows = _starmap(_bounds_row, jobs, args.threads)
     for row in rows:
         print(",".join(row))
     return 0
@@ -303,13 +301,7 @@ def cmd_verify(args) -> int:
     sigmas = [int(x) for x in args.sigma_list.split(",")]
     ks = [int(x) for x in args.k_list.split(",")]
     jobs = [(trial, args.seed, args.max_n, sigmas, ks) for trial in range(args.trials)]
-    if args.threads > 1:
-        from multiprocessing import Pool
-
-        with Pool(args.threads) as pool:
-            results = pool.starmap(_verify_trial, jobs)
-    else:
-        results = [_verify_trial(*job) for job in jobs]
+    results = _starmap(_verify_trial, jobs, args.threads)
     failures = [msg for msgs in results for msg in msgs]
     suites = sorted({msg.split(":")[0] for msg in failures})
     print(f"texts\t{args.trials}")

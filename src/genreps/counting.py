@@ -1,15 +1,16 @@
 """Square tables and square counting under an equivalence relation.
 
-Pipeline: the suffix index yields all right non-extendible squares (leaf
-pairs of the tree view whose lowest common ancestor weight equals their
-distance, found by a small-to-large scan); an LCP test filters those down
-to right non-shiftable squares; running the same machinery on the reversed
-text gives the left non-shiftable squares; sorted pairing of the two sets
-produces, per half-period p, the disjoint maximal intervals of square
-start positions.  A single left-to-right sweep over interval endpoints
-with a cursor counter then counts squares at their leftmost occurrences,
-using the longest-previous-factor array under the relation (non-equivalent
-count) or under equality (distinct-as-strings count).
+Pipeline: one stack pass over the suffix index's LCP array yields all
+right non-extendible squares (suffix pairs at distance p whose LCP is
+exactly p, found small-to-large over the LCP intervals, with no tree
+built); an LCP test filters those down to right non-shiftable squares;
+running the same machinery on the reversed text gives the left
+non-shiftable squares; sorted pairing of the two sets produces, per
+half-period p, the disjoint maximal intervals of square start positions.
+A single left-to-right sweep over interval endpoints with a cursor
+counter then counts squares at their leftmost occurrences, using the
+longest-previous-factor array under the relation (non-equivalent count)
+or under equality (distinct-as-strings count).
 """
 
 from __future__ import annotations
@@ -21,88 +22,59 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encodings import REVERSED_RELATION
-from .index import ScerIndex, TreeView
+from .index import ScerIndex
 from .text import Text
-
-_NUMPY_MIN_NODES = 20000
 
 
 def right_nonextendible(index: ScerIndex) -> list[tuple[int, int]]:
     """All (i, p) with T[i..i+2p) a right non-extendible square.
 
     These are exactly the pairs of suffixes (i, i+p) whose longest common
-    equivalent prefix is p, i.e. leaf pairs at distance p whose LCA weight
-    is p in the tree view; listed via small-to-large over leaf ranges.
+    equivalent prefix is p.  One stack pass over the LCP array visits the
+    LCP intervals bottom-up (Abouelhoda, Kurtz and Ohlebusch 2004): an
+    interval of weight w covers the suffixes at index positions
+    [lo..hi] and is cut into child ranges at the positions r with
+    lcp[r] == w.  Two suffixes have LCP exactly w when they lie in the
+    interval but in different children, so each suffix i of every child
+    except a largest one probes i-w and i+w.  A non-largest child holds
+    at most half of its interval, so each suffix is read at most
+    ceil(log2(n+2)) times and the pass reads (n+1)·ceil(log2(n+2)) cells
+    of the order at most.
     """
     n = index.n
-    if n < 2:
-        return []
-    tree = index.tree()
-    if len(tree.weight) >= _NUMPY_MIN_NODES:
-        return _rne_numpy(tree, n)
-    return _rne_python(tree, n)
-
-
-def _rne_python(tree: TreeView, n: int) -> list[tuple[int, int]]:
-    order = tree.order
-    leaf_pos = tree.leaf_pos
+    order, rank, lcp = index.order, index.rank, index.lcp
     out: set[tuple[int, int]] = set()
-    for v in range(len(tree.weight)):
-        kids = tree.children[v]
-        w = tree.weight[v]
-        if w < 1 or not kids:
-            continue
-        lo_v, hi_v = tree.leaf_lo[v], tree.leaf_hi[v]
-        heavy = max(kids, key=lambda c: tree.leaf_hi[c] - tree.leaf_lo[c])
-        for c in kids:
-            if c is heavy:
-                continue
-            lo_c, hi_c = tree.leaf_lo[c], tree.leaf_hi[c]
-            for pos in range(lo_c, hi_c + 1):
-                i = order[pos]
-                for j in (i - w, i + w):
-                    if 1 <= j <= n + 1:
-                        pj = leaf_pos[j]
-                        if lo_v <= pj <= hi_v and not (lo_c <= pj <= hi_c):
-                            out.add((min(i, j), w))
+    # open intervals, innermost last: (weight, start positions of the children)
+    stack: list[tuple[int, list[int]]] = [(0, [0])]
+    for r in range(1, n + 2):
+        h = lcp[r] if r <= n else 0
+        lo = r - 1
+        while h < stack[-1][0]:
+            # the interval covers positions lo..r-1, its k-th child
+            # cuts[k]..cuts[k+1]-1
+            w, cuts = stack.pop()
+            lo = cuts[0]
+            cuts.append(r)
+            sizes = [b - a for a, b in zip(cuts, cuts[1:])]
+            heavy = sizes.index(max(sizes))
+            for k in range(len(sizes)):
+                if k == heavy:
+                    continue
+                a, b = cuts[k], cuts[k + 1]
+                for i in order[a:b]:
+                    if i > w:
+                        q = rank[i - w]
+                        if lo <= q < a or b <= q < r:
+                            out.add((i - w, w))
+                    if i + w <= n:
+                        q = rank[i + w]
+                        if lo <= q < a or b <= q < r:
+                            out.add((i, w))
+        if h > stack[-1][0]:
+            stack.append((h, [lo, r]))
+        else:
+            stack[-1][1].append(r)
     return sorted(out)
-
-
-def _rne_numpy(tree: TreeView, n: int) -> list[tuple[int, int]]:
-    order = np.asarray(tree.order, dtype=np.int64)
-    leaf_pos = np.asarray(tree.leaf_pos, dtype=np.int64)
-    found_i: list[np.ndarray] = []
-    found_p: list[np.ndarray] = []
-    for v in range(len(tree.weight)):
-        kids = tree.children[v]
-        w = tree.weight[v]
-        if w < 1 or not kids:
-            continue
-        lo_v, hi_v = tree.leaf_lo[v], tree.leaf_hi[v]
-        heavy = max(kids, key=lambda c: tree.leaf_hi[c] - tree.leaf_lo[c])
-        for c in kids:
-            if c is heavy:
-                continue
-            seg = order[tree.leaf_lo[c] : tree.leaf_hi[c] + 1]
-            for sign in (-1, 1):
-                j = seg + sign * w
-                ok = (j >= 1) & (j <= n + 1)
-                if not ok.any():
-                    continue
-                jj = j[ok]
-                pj = leaf_pos[jj]
-                inside = (pj >= lo_v) & (pj <= hi_v)
-                inside &= ~((pj >= tree.leaf_lo[c]) & (pj <= tree.leaf_hi[c]))
-                if not inside.any():
-                    continue
-                ii = np.minimum(seg[ok][inside], jj[inside])
-                found_i.append(ii)
-                found_p.append(np.full(len(ii), w, dtype=np.int64))
-    if not found_i:
-        return []
-    allp = np.stack([np.concatenate(found_i), np.concatenate(found_p)], axis=1)
-    allp = np.unique(allp, axis=0)
-    return [(int(a), int(b)) for a, b in allp]
 
 
 def right_nonshiftable(index: ScerIndex, rne: list[tuple[int, int]] | None = None) -> list[tuple[int, int]]:
@@ -114,13 +86,6 @@ def right_nonshiftable(index: ScerIndex, rne: list[tuple[int, int]] | None = Non
     """
     if rne is None:
         rne = right_nonextendible(index)
-    if not rne:
-        return []
-    if len(rne) >= 512 and index.n > 256:
-        arr = np.asarray(rne, dtype=np.int64)
-        lcps = index.lcp_batch(arr[:, 0] + 1, arr[:, 0] + arr[:, 1] + 1)
-        keep = lcps == arr[:, 1] - 1
-        return [(int(i), int(p)) for i, p in arr[keep]]
     return [
         (i, p) for i, p in rne if index.lcp_suffixes(i + 1, i + p + 1) == p - 1
     ]

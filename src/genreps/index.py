@@ -68,20 +68,6 @@ class _MinTable:
         lvl = self._levels[k]
         return int(min(lvl[lo], lvl[hi - (1 << k) + 1]))
 
-    def query_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        if self._levels is None:
-            return np.asarray(
-                [self.query(int(a), int(b)) for a, b in zip(lo, hi)], dtype=np.int64
-            )
-        width = hi - lo + 1
-        out = np.empty(len(lo), dtype=np.int64)
-        ks = np.frexp(width.astype(np.float64))[1] - 1  # floor(log2(width))
-        for k in np.unique(ks):
-            sel = ks == k
-            lvl = self._levels[int(k)]
-            out[sel] = np.minimum(lvl[lo[sel]], lvl[hi[sel] - (1 << int(k)) + 1])
-        return out
-
 
 def _sort_rows(encoder: Encoder, n: int) -> tuple[list[int], list[list[int]]]:
     """Materialize all suffix code rows and sort starts lexicographically.
@@ -213,7 +199,6 @@ class ScerIndex:
         self._rmq: _MinTable | None = None
         self._lpf: np.ndarray | None = None
         self._tree: TreeView | None = None
-        self._rank_np: np.ndarray | None = None
 
     def _order_ranks(self) -> list[int]:
         rank = [0] * (self.n + 2)
@@ -238,22 +223,6 @@ class ScerIndex:
         if r1 > r2:
             r1, r2 = r2, r1
         return self.rmq.query(r1 + 1, r2)
-
-    def lcp_batch(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        if self._rank_np is None:
-            self._rank_np = np.asarray(self.rank, dtype=np.int64)
-        r1 = self._rank_np[i]
-        r2 = self._rank_np[j]
-        lo = np.minimum(r1, r2) + 1
-        hi = np.maximum(r1, r2)
-        out = np.empty(len(lo), dtype=np.int64)
-        same = hi < lo  # i == j
-        if same.any():
-            out[same] = self.n - np.asarray(i)[same] + 1
-        rest = ~same
-        if rest.any():
-            out[rest] = self.rmq.query_batch(lo[rest], hi[rest])
-        return out
 
     def lpf(self) -> np.ndarray:
         """Longest previous factor under the relation; 1-based, index 0 unused.

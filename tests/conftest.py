@@ -16,6 +16,14 @@ def random_text(rng: random.Random, n: int, sigma: int) -> Text:
     return text_from_symbols([rng.randrange(sigma) for _ in range(n)])
 
 
+def fibonacci(n: int) -> list[int]:
+    """The first n symbols of the Fibonacci word 0100101001001..."""
+    a, b = [0], [0, 1]
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
 def small_corpus(seed=0, trials=40, max_n=40, sigmas=(2, 3, 4, 5)):
     rng = random.Random(seed)
     out = []

@@ -163,3 +163,30 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "internal error: interval table out of order" in err
     assert "Traceback" not in err
+
+
+def test_pool_capped_at_job_count(monkeypatch, capsys):
+    import multiprocessing
+
+    from genreps import cli
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, jobs):
+            return [func(*job) for job in jobs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    args = ["bounds", "--n", "50", "--trials", "1", "--threads", "4"]
+    assert cli.main(args) == 0
+    assert sizes == [1]
+    assert len(capsys.readouterr().out.strip().split("\n")) == 2

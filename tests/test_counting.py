@@ -1,13 +1,15 @@
+import math
 import random
 
 import pytest
 
-from conftest import random_text
+from conftest import fibonacci, random_text
 from genreps import oracle
 from genreps.counting import (
     CursorCounter,
     count_distinct,
     count_nonequivalent,
+    reversed_index,
     right_nonextendible,
     right_nonshiftable,
     squares_table,
@@ -28,17 +30,54 @@ def test_nonextendible_examples():
 
 def test_nonextendible_random_vs_lcp_definition():
     rng = random.Random(1)
-    for _ in range(10):
-        t = random_text(rng, rng.randint(0, 60), rng.choice([2, 3]))
+    texts = [random_text(rng, rng.randint(0, 60), rng.choice([2, 3])) for _ in range(10)]
+    texts += [random_text(rng, rng.randint(290, 310), 2) for _ in range(3)]
+    for n in (1, 2, 7, 16, 17, 64, 150):
+        texts += [text_from_symbols(sym) for sym in (
+            [0] * n, [i % 2 for i in range(n)], [i % 3 for i in range(n)], fibonacci(n)
+        )]
+    for t in texts:
         for rel in RELATIONS:
-            idx = ScerIndex(t, rel)
-            got = set(right_nonextendible(idx))
-            want = set()
-            for i in range(1, t.n + 1):
-                for p in range(1, (t.n - i + 1) // 2 + 1):
-                    if idx.lcp_suffixes(i, i + p) == p:
-                        want.add((i, p))
-            assert got == want, (rel, t.symbols)
+            fwd = ScerIndex(t, rel)
+            for idx in (fwd, reversed_index(fwd)):
+                got = set(right_nonextendible(idx))
+                want = set()
+                for i in range(1, t.n + 1):
+                    for p in range(1, (t.n - i + 1) // 2 + 1):
+                        if idx.lcp_suffixes(i, i + p) == p:
+                            want.add((i, p))
+                assert got == want, (idx.relation, t.symbols)
+
+
+class _CountingList(list):
+    """A list that counts the cells read through indexing and slicing."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        got = super().__getitem__(key)
+        self.reads += len(got) if isinstance(key, slice) else 1
+        return got
+
+
+@pytest.mark.parametrize(
+    "name, rel",
+    [("unary", "exact"), ("unary", "param"), ("period2", "exact"), ("fib", "ct")],
+)
+def test_nonextendible_work_bound(name, rel):
+    """Small-to-large: the pass reads each suffix of the order at most
+    ceil(log2(n+2)) times, since it scans only the non-largest children."""
+    sym = {
+        "unary": [0] * 3000,
+        "period2": [i % 2 for i in range(3000)],
+        "fib": fibonacci(2584),
+    }[name]
+    idx = ScerIndex(text_from_symbols(sym), rel)
+    want = right_nonextendible(idx)
+    idx.order = _CountingList(idx.order)
+    assert right_nonextendible(idx) == want
+    n = idx.n
+    assert idx.order.reads <= (n + 1) * math.ceil(math.log2(n + 2))
 
 
 def test_nonshiftable_unary():

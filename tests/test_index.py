@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_text
+from conftest import fibonacci, random_text
 from genreps import index, oracle
 from genreps.encodings import RELATIONS, make_encoder
 from genreps.index import ScerIndex, _lcp_from_rows, _sort_rows, lpf_arrays
@@ -181,13 +181,6 @@ def test_block_sort_narrow_rounds(monkeypatch):
             assert list(idx.lcp) == lcp, (rel, t.symbols)
 
 
-def _fibonacci(n):
-    a, b = [0], [0, 1]
-    while len(b) < n:
-        a, b = b, b + a
-    return b[:n]
-
-
 @pytest.mark.parametrize(
     "name, rel",
     [("random2", "param"), ("fib", "param"), ("fib", "ct"), ("unary", "pal")],
@@ -205,7 +198,7 @@ def test_block_sort_work_bound(name, rel):
     if name == "random2":
         t = random_text(random.Random(22), 11000, 2)
     else:
-        t = text_from_symbols(_fibonacci(377) if name == "fib" else [0] * 389)
+        t = text_from_symbols(fibonacci(377) if name == "fib" else [0] * 389)
     enc = make_encoder(t, rel)
     calls = []
     block = enc.code_block
