@@ -1,18 +1,28 @@
 """Enumeration of k-mismatch repeats: uniform k-runs, k-runs, generalised
-runs, and maximal gapped repeats (MGRs), all per fixed period via sliding
-windows over the mismatch indicator T[i] != T[i+period].
+runs and maximal gapped repeats (MGRs).
 
-Records store fragments as half-open [a..b); reported positions are
-1-based.  A text position i is an l-mismatching position when
-T[i] != T[i+l]; a window of starts shares one uniform run exactly while no
-mismatching position enters or leaves it.
+Every enumerator is one numpy scan per period l over the mismatch vector
+d[q] = (T[q] != T[q+l]), after Kolpakov and Kucherov's per-period scan:
 
-Functions accept a Text or any integer sequence (a 1-based array padded
-with -1 at index 0 is used as-is).
+* the running count of d gives the mismatch count of every window [i..i+l)
+  of a start i in [1..n-2l+1]; the k-runs are the maximal stretches of
+  starts whose count is <= k;
+* the mismatch set changes from start i to start i+1 exactly when position
+  i leaves or position i+l enters (d[i] | d[i+l]); these cuts split the
+  starts into segments, and the uniform k-runs are the segments whose
+  count is <= k;
+* the generalised runs of period l are the maximal equality blocks
+  (runs of T[q] = T[q+l]) of length u >= l, and its MGRs those with u < l.
+
+An enumerator filters these per-period arrays and builds record objects
+only for what it returns.  Records store fragments as half-open [a..b);
+reported positions are 1-based.  Functions accept a Text or any integer
+sequence (a 1-based one padded with -1 at index 0 is used as is).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -20,8 +30,6 @@ from typing import Iterable
 import numpy as np
 
 from .text import Text
-
-_NUMPY_MIN_N = 96
 
 
 @dataclass(frozen=True)
@@ -81,33 +89,17 @@ class Mgr:
         return Fraction(self.arm_len, self.ell)
 
 
-class _View:
-    """Normalized 1-based view of the input symbols."""
+def _symbols(t) -> np.ndarray:
+    """The 1-based int64 symbols of a Text or an integer sequence.
 
-    __slots__ = ("lst", "arr", "n")
-
-    def __init__(self, t):
-        if isinstance(t, Text):
-            self.n = t.n
-            self.lst = t.padded
-            self.arr = t.padded_np if t.n >= _NUMPY_MIN_N else None
-            return
-        if isinstance(t, np.ndarray):
-            padded = t if (len(t) and t[0] == -1) else np.concatenate(([-1], t))
-            self.n = len(padded) - 1
-            if self.n >= _NUMPY_MIN_N:
-                self.arr = padded
-                self.lst = None
-            else:
-                self.arr = None
-                self.lst = padded.tolist()
-            return
-        lst = list(t)
-        if not (lst and lst[0] == -1):
-            lst = [-1, *lst]
-        self.n = len(lst) - 1
-        self.lst = lst
-        self.arr = np.asarray(lst, dtype=np.int64) if self.n >= _NUMPY_MIN_N else None
+    A sequence whose index 0 already holds the -1 pad is used as is.
+    """
+    if isinstance(t, Text):
+        return t.padded_np
+    s = np.asarray(t, dtype=np.int64)
+    if len(s) and s[0] == -1:
+        return s
+    return np.concatenate(([-1], s))
 
 
 def _period_range(n: int, periods) -> Iterable[int]:
@@ -118,222 +110,154 @@ def _period_range(n: int, periods) -> Iterable[int]:
     return [p for p in periods if 1 <= p <= n // 2]
 
 
+def _mismatches(s: np.ndarray, ell: int) -> np.ndarray:
+    """d[q] = (T[q] != T[q+l]) for q in [1..n-l], and d[0] = True for the pad.
+
+    d[0] is set even where a symbol equals the pad value, so the pad always
+    bounds the first equality block and counts as one mismatch in csum.
+    """
+    d = s[: len(s) - ell] != s[ell:]
+    d[0] = True
+    return d
+
+
+def _runs(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half-open index ranges [starts, stops) of the maximal True runs."""
+    padded = np.zeros(len(flags) + 2, dtype=bool)
+    padded[1:-1] = flags
+    edges = (padded[1:] != padded[:-1]).nonzero()[0]
+    return edges[::2], edges[1::2]
+
+
+def _windows(s: np.ndarray, ell: int):
+    """The window scan of one period l <= n/2 over its w = n-2l+1 starts.
+
+    Returns the mismatch vector d, its running count csum (csum[q] counts
+    the pad and the mismatching positions <= q) and the mismatch count
+    wins[i-1] of each window [i..i+l).
+    """
+    d = _mismatches(s, ell)
+    csum = np.add.accumulate(d, dtype=np.intp)  # half the call cost of d.cumsum()
+    return d, csum, csum[ell:] - csum[: len(d) - ell]
+
+
+def _cuts(d: np.ndarray, ell: int) -> np.ndarray:
+    """cuts[i] for i in [0..w]: true at 0, at w, and where the mismatch set
+    changes from start i to start i+1 (a mismatching position leaves or
+    enters), so the uniform segments are the starts (c..c'] between cuts."""
+    w = len(d) - ell
+    cuts = np.empty(w + 1, dtype=bool)
+    cuts[0] = cuts[w] = True
+    np.bitwise_or(d[1:w], d[ell + 1 :], out=cuts[1:w])
+    return cuts
+
+
+def _segments(d: np.ndarray, wins: np.ndarray, ell: int, k: int):
+    """The uniform segments of one period with window count <= k: their
+    0-based first starts, 1-based last starts and counts."""
+    bounds = _cuts(d, ell).nonzero()[0]
+    firsts = bounds[:-1]
+    counts = wins[firsts]
+    keep = counts <= k
+    return firsts[keep], bounds[1:][keep], counts[keep]
+
+
 def mismatch_positions(t, ell: int) -> list[int]:
     """Ascending positions i in [1..n-l] with T[i] != T[i+l]."""
-    v = _View(t)
-    if not (1 <= ell <= v.n):
-        raise ValueError(f"period {ell} out of range for n={v.n}")
-    if v.arr is not None:
-        d = v.arr[1 : v.n - ell + 1] != v.arr[ell + 1 : v.n + 1]
-        return (np.flatnonzero(d) + 1).tolist()
-    s = v.lst
-    return [i for i in range(1, v.n - ell + 1) if s[i] != s[i + ell]]
+    s = _symbols(t)
+    n = len(s) - 1
+    if not (1 <= ell <= n):
+        raise ValueError(f"period {ell} out of range for n={n}")
+    return _mismatches(s, ell).nonzero()[0][1:].tolist()
 
 
 def is_k_mismatch_square(t, i: int, ell: int, k: int) -> bool:
     """Is T[i..i+2l) a square of its halves with at most k mismatches?"""
-    v = _View(t)
-    if i < 1 or i + 2 * ell - 1 > v.n:
-        raise ValueError(f"square [{i}..{i + 2 * ell - 1}] out of range for n={v.n}")
-    s = v.lst if v.lst is not None else v.arr
-    count = 0
-    for q in range(i, i + ell):
-        if s[q] != s[q + ell]:
-            count += 1
-            if count > k:
-                return False
-    return True
-
-
-def _uniform_segments(v: _View, ell: int):
-    """Maximal equal-mismatch-set segments of window starts for one period.
-
-    Yields (first start, last start, mismatch count, diff) where diff
-    indexes the l-mismatching positions (1-based list or 0-based array).
-    """
-    n = v.n
-    w = n - 2 * ell + 1
-    if w < 1:
-        return
-    if v.arr is not None:
-        arr = v.arr
-        d = arr[1 : n - ell + 1] != arr[ell + 1 : n + 1]  # d[q-1]: mismatch at q
-        csum = np.concatenate(([0], np.cumsum(d)))
-        brk = d[: w - 1] | d[ell : ell + w - 1]  # break between starts i and i+1
-        bounds = np.flatnonzero(brk) + 1
-        starts = np.concatenate(([1], bounds + 1))
-        ends = np.concatenate((bounds, [w]))
-        counts = csum[starts + ell - 1] - csum[starts - 1]
-        for s0, e0, c0 in zip(starts.tolist(), ends.tolist(), counts.tolist()):
-            yield s0, e0, c0, d
-        return
-    s = v.lst
-    diff = [False] * (n - ell + 2)
-    for q in range(1, n - ell + 1):
-        diff[q] = s[q] != s[q + ell]
-    cnt = sum(diff[1 : ell + 1])
-    seg_start = 1
-    seg_cnt = cnt
-    for i in range(2, w + 1):
-        broke = diff[i - 1] or diff[i - 1 + ell]
-        cnt += diff[i + ell - 1] - diff[i - 1]
-        if broke:
-            yield seg_start, i - 1, seg_cnt, diff
-            seg_start = i
-            seg_cnt = cnt
-    yield seg_start, w, seg_cnt, diff
-
-
-def _mism_of_segment(diff, lo: int, ell: int) -> tuple[int, ...]:
-    if isinstance(diff, np.ndarray):
-        return tuple((np.flatnonzero(diff[lo - 1 : lo - 1 + ell]) + lo).tolist())
-    return tuple(q for q in range(lo, lo + ell) if diff[q])
+    s = _symbols(t)
+    n = len(s) - 1
+    if ell < 1:
+        raise ValueError(f"period {ell} out of range for n={n}")
+    if i < 1 or i + 2 * ell - 1 > n:
+        raise ValueError(f"square [{i}..{i + 2 * ell - 1}] out of range for n={n}")
+    return int(np.count_nonzero(s[i : i + ell] != s[i + ell : i + 2 * ell])) <= k
 
 
 def uniform_k_runs(t, k: int, periods=None) -> list[UniformKRun]:
     """All maximal uniform k-runs: stretches of equal-length squares whose
     mismatch sets coincide and have size at most k."""
-    v = _View(t)
+    s = _symbols(t)
     out: list[UniformKRun] = []
-    for ell in _period_range(v.n, periods):
-        for lo, hi, cnt, diff in _uniform_segments(v, ell):
-            if cnt <= k:
-                out.append(
-                    UniformKRun(lo, hi + 2 * ell, ell, _mism_of_segment(diff, lo, ell), k)
-                )
+    for ell in _period_range(len(s) - 1, periods):
+        d, csum, wins = _windows(s, ell)
+        firsts, lasts, counts = _segments(d, wins, ell, k)
+        if not len(firsts):
+            continue
+        # pos[0] is the pad, so pos[csum[i-1]] is the first mismatch >= start i
+        pos = d.nonzero()[0].tolist()
+        out.extend(
+            UniformKRun(a + 1, e + 2 * ell, ell, tuple(pos[o : o + c]), k)
+            for a, e, o, c in zip(
+                firsts.tolist(), lasts.tolist(), csum[firsts].tolist(), counts.tolist()
+            )
+        )
     return out
 
 
 def count_uniform_k_runs(t, k: int, periods=None) -> int:
     """Number of maximal uniform k-runs (no records materialized).
 
-    Counts stretches of starts with window count <= k plus the
-    set-changing breaks inside them: every break splits one more uniform
-    run off, and equal-set segments never straddle a count boundary.
+    A uniform run begins at a cut start whose window count is <= k: a
+    count changes only where the mismatch set does, so no segment
+    straddles a count boundary.
     """
-    v = _View(t)
+    s = _symbols(t)
     total = 0
-    if v.arr is None:
-        for ell in _period_range(v.n, periods):
-            for _, _, cnt, _ in _uniform_segments(v, ell):
-                if cnt <= k:
-                    total += 1
-        return total
-    arr = v.arr
-    n = v.n
-    for ell in _period_range(n, periods):
-        w = n - 2 * ell + 1
-        if w < 1:
-            continue
-        d = arr[1 : n - ell + 1] != arr[ell + 1 : n + 1]
-        csum = np.cumsum(d, dtype=np.int32)
-        wins = csum[ell - 1 : ell - 1 + w].copy()
-        wins[1:] -= csum[: w - 1]
-        ok = wins <= k
-        total += int(ok[0]) + int(np.count_nonzero(ok[1:] & ~ok[:-1]))
-        if w > 1:
-            brk = d[: w - 1] | d[ell : ell + w - 1]
-            total += int(np.count_nonzero(brk & ok[:-1] & ok[1:]))
+    for ell in _period_range(len(s) - 1, periods):
+        d, _, wins = _windows(s, ell)
+        total += int(np.count_nonzero(_cuts(d, ell)[:-1] & (wins <= k)))
     return total
 
 
 def uniform_start_intervals(t, ell: int, k: int) -> list[tuple[int, int]]:
     """Window-start intervals [a..b-2l] of the uniform k-runs of one period."""
-    v = _View(t)
-    out = []
-    if 1 <= ell <= v.n // 2:
-        for lo, hi, cnt, _ in _uniform_segments(v, ell):
-            if cnt <= k:
-                out.append((lo, hi))
-    return out
-
-
-def _bool_runs(flags: np.ndarray):
-    """Maximal runs of True in a boolean vector, as 1-based [s..e]."""
-    if len(flags) == 0:
-        return
-    edges = np.flatnonzero(np.diff(flags.astype(np.int8)))
-    starts = [1] if flags[0] else []
-    ends: list[int] = []
-    for e in edges.tolist():
-        if flags[e]:
-            ends.append(e + 1)
-        else:
-            starts.append(e + 2)
-    if flags[-1]:
-        ends.append(len(flags))
-    yield from zip(starts, ends)
-
-
-def _krun_segments(v: _View, ell: int, k: int):
-    """Maximal stretches of starts whose window mismatch count stays <= k."""
-    n = v.n
-    w = n - 2 * ell + 1
-    if w < 1:
-        return
-    if v.arr is not None:
-        arr = v.arr
-        d = arr[1 : n - ell + 1] != arr[ell + 1 : n + 1]
-        csum = np.concatenate(([0], np.cumsum(d)))
-        ok = (csum[ell : ell + w] - csum[:w]) <= k
-        yield from _bool_runs(ok)
-        return
-    s = v.lst
-    diff = [False] * (n - ell + 2)
-    for q in range(1, n - ell + 1):
-        diff[q] = s[q] != s[q + ell]
-    cnt = sum(diff[1 : ell + 1])
-    run_start = 1 if cnt <= k else 0
-    for i in range(2, w + 1):
-        cnt += diff[i + ell - 1] - diff[i - 1]
-        if cnt <= k and not run_start:
-            run_start = i
-        elif cnt > k and run_start:
-            yield run_start, i - 1
-            run_start = 0
-    if run_start:
-        yield run_start, w
+    s = _symbols(t)
+    if not 1 <= ell <= (len(s) - 1) // 2:
+        return []
+    d, _, wins = _windows(s, ell)
+    firsts, lasts, _ = _segments(d, wins, ell, k)
+    return list(zip((firsts + 1).tolist(), lasts.tolist()))
 
 
 def k_runs(t, k: int, periods=None) -> list[KRun]:
     """All maximal k-runs: every window of the stretch is a k-mismatch square."""
-    v = _View(t)
+    s = _symbols(t)
     out: list[KRun] = []
-    for ell in _period_range(v.n, periods):
-        for lo, hi in _krun_segments(v, ell, k):
-            out.append(KRun(lo, hi + 2 * ell, ell, k))
+    for ell in _period_range(len(s) - 1, periods):
+        _, _, wins = _windows(s, ell)
+        starts, stops = _runs(wins <= k)
+        out.extend(
+            KRun(a + 1, e + 2 * ell, ell, k) for a, e in zip(starts.tolist(), stops.tolist())
+        )
     return out
 
 
-def _equality_blocks(v: _View, p: int):
-    """Maximal blocks [s..e] of positions with T[q] = T[q+p]."""
-    n = v.n
-    if v.arr is not None:
-        arr = v.arr
-        eq = arr[1 : n - p + 1] == arr[p + 1 : n + 1]
-        yield from _bool_runs(eq)
-        return
-    s = v.lst
-    start = 0
-    for q in range(1, n - p + 1):
-        if s[q] == s[q + p]:
-            if not start:
-                start = q
-        elif start:
-            yield start, q - 1
-            start = 0
-    if start:
-        yield start, n - p
+def _arms(s: np.ndarray, ell: int, lo: int, hi: int | None):
+    """(x, u) of the equality blocks [x..x+u) of T[q] = T[q+l] with
+    lo <= u (and u < hi)."""
+    starts, stops = _runs(~_mismatches(s, ell))
+    arms = stops - starts
+    keep = arms >= lo
+    if hi is not None:
+        keep &= arms < hi
+    return zip(starts[keep].tolist(), arms[keep].tolist())
 
 
 def generalised_runs(t, periods=None) -> list[GeneralisedRun]:
     """All maximal periodic fragments of length >= 2p per period p (0-runs)."""
-    v = _View(t)
+    s = _symbols(t)
     out: list[GeneralisedRun] = []
-    for p in _period_range(v.n, periods):
-        for s0, e0 in _equality_blocks(v, p):
-            if e0 - s0 + 1 >= p:
-                out.append(GeneralisedRun(s0, e0 + p + 1, p))
+    for p in _period_range(len(s) - 1, periods):
+        out.extend(GeneralisedRun(x, x + u + p, p) for x, u in _arms(s, p, p, None))
     return out
 
 
@@ -342,16 +266,21 @@ def mgrs(t, alpha_max: Fraction | float | None = None, periods=None) -> list[Mgr
 
     Equality blocks of length u with 0 < u < period are exactly the MGRs of
     that period; blocks of length >= period are generalised runs instead.
+    A gap ratio l/u <= alpha = num/den is the arm bound u >= ceil(l*den/num),
+    taken in Python integers (a float alpha's den can reach 2**52).
     """
-    v = _View(t)
+    s = _symbols(t)
+    if alpha_max == math.inf:
+        alpha_max = None
+    if alpha_max is not None:
+        alpha = Fraction(alpha_max)
+        if alpha <= 0:
+            return []
     out: list[Mgr] = []
-    for ell in _period_range(v.n, periods):
-        for s0, e0 in _equality_blocks(v, ell):
-            u = e0 - s0 + 1
-            if 0 < u < ell:
-                rec = Mgr(s0, e0 + ell + 1, ell, u)
-                if alpha_max is None or rec.gap_ratio <= alpha_max:
-                    out.append(rec)
+    for ell in _period_range(len(s) - 1, periods):
+        lo = 1 if alpha_max is None else -(-ell * alpha.denominator // alpha.numerator)
+        if lo < ell:
+            out.extend(Mgr(x, x + u + ell, ell, u) for x, u in _arms(s, ell, lo, ell))
     return out
 
 

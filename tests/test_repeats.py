@@ -2,10 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import random_text
-from genreps import oracle
+from conftest import fibonacci, random_text
+from genreps import oracle, repeats
 from genreps.repeats import (
     GeneralisedRun,
     Mgr,
@@ -18,6 +19,7 @@ from genreps.repeats import (
     mgrs,
     mismatch_positions,
     uniform_k_runs,
+    uniform_start_intervals,
 )
 from genreps.text import parse_text, text_from_symbols
 
@@ -43,6 +45,9 @@ def test_is_k_mismatch_square(runs_text):
     assert is_k_mismatch_square(parse_text(b"aaaa"), 1, 2, 0)
     with pytest.raises(ValueError):
         is_k_mismatch_square(parse_text(b"aaaa"), 2, 2, 0)
+    for ell in (0, -1):  # a period below 1 is no square, as in mismatch_positions
+        with pytest.raises(ValueError):
+            is_k_mismatch_square(parse_text(b"abcd"), 1, ell, 0)
 
 
 def test_k_runs_worked_example(runs_text):
@@ -100,13 +105,26 @@ def test_induces_period_mismatch_and_disjoint():
         induces(Mgr(1, 12, 8, 3), UniformKRun(1, 15, 7, (), 2))
 
 
+def _structured_texts():
+    """Unary, period-2, period-3 and Fibonacci texts with n <= 120."""
+    out = []
+    for n in (1, 2, 7, 24, 61, 97, 120):
+        out += [[0] * n, [i % 2 for i in range(n)], [i % 3 for i in range(n)], fibonacci(n)]
+    return [text_from_symbols(sym) for sym in out]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_vs_oracle(seed):
     rng = random.Random(seed)
+    cases = []
     for _ in range(10):
         n = rng.randint(0, 120)
         t = random_text(rng, n, rng.choice([2, 3, 4]))
-        k = rng.choice([0, 1, 2, 4])
+        cases.append((t, rng.choice([0, 1, 2, 4])))
+    # one text above 120 (below the oracle cap) and a third of the structured texts
+    big = random_text(rng, rng.randint(121, oracle.BRUTE_CAP), rng.choice([2, 3]))
+    cases += [(t, rng.choice([0, 1, 2, 4])) for t in [big, *_structured_texts()[seed::3]]]
+    for t, k in cases:
         got = sorted((r.a, r.b, r.ell, r.mismatches) for r in uniform_k_runs(t, k))
         assert got == sorted(oracle.brute_uniform_k_runs(t, k))
         got_k = sorted((r.a, r.b, r.ell) for r in k_runs(t, k))
@@ -119,20 +137,78 @@ def test_random_vs_oracle(seed):
 
 def test_count_matches_enumeration():
     rng = random.Random(3)
+    cases = []
     for _ in range(15):
         t = random_text(rng, rng.randint(0, 200), rng.choice([2, 3]))
-        k = rng.choice([0, 2, 3])
+        cases.append((t, rng.choice([0, 2, 3])))
+    cases += [(t, k) for t in _structured_texts() for k in (0, 2, 3)]
+    for t, k in cases:
         assert count_uniform_k_runs(t, k) == len(uniform_k_runs(t, k))
+
+
+def test_input_forms_agree(runs_text):
+    """A Text, a plain list and a 1-based ndarray padded with -1 give one
+    answer from every function of the module, and so does a padded list
+    whose symbols include -1."""
+    texts = [runs_text, random_text(random.Random(12), 150, 2), text_from_symbols([4] * 9)]
+    for t in texts:
+        forms = [
+            t,
+            list(t.symbols),
+            np.array(t.padded, dtype=np.int64),
+            [-1] + [x - 1 for x in t.symbols],
+        ]
+        answers = []
+        for f in forms:
+            half = t.n // 2
+            answers.append(
+                (
+                    [mismatch_positions(f, ell) for ell in range(1, t.n + 1)],
+                    [
+                        is_k_mismatch_square(f, i, ell, k)
+                        for ell in range(1, half + 1)
+                        for i in range(1, t.n - 2 * ell + 2)
+                        for k in (0, 2)
+                    ],
+                    [uniform_start_intervals(f, ell, 2) for ell in range(0, half + 2)],
+                    uniform_k_runs(f, 2),
+                    uniform_k_runs(f, 1, periods=[3, 8]),
+                    count_uniform_k_runs(f, 2),
+                    k_runs(f, 2),
+                    k_runs(f, 0, periods=4),
+                    generalised_runs(f),
+                    mgrs(f),
+                    mgrs(f, Fraction(5, 2)),
+                )
+            )
+        assert all(a == answers[0] for a in answers[1:])
 
 
 def test_alpha_filter():
     rng = random.Random(4)
     t = random_text(rng, 90, 3)
     all_m = mgrs(t)
-    for alpha in (2, 3, Fraction(5, 2)):
+    for alpha in (2, 3, Fraction(5, 2), 2.7, 0.3, 0, Fraction(1, 3), math.inf):
         got = mgrs(t, alpha)
         want = [m for m in all_m if m.gap_ratio <= alpha]
         assert got == want
+
+
+def test_mgrs_builds_only_kept_records(monkeypatch):
+    """The gap-ratio filter runs before any record is built."""
+    built = []
+
+    class CountingMgr(Mgr):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    t = random_text(random.Random(13), 400, 2)
+    want = [(m.x, m.y, m.ell, m.arm_len) for m in mgrs(t) if m.gap_ratio <= 3]
+    monkeypatch.setattr(repeats, "Mgr", CountingMgr)
+    kept = [(m.x, m.y, m.ell, m.arm_len) for m in repeats.mgrs(t, 3)]
+    assert kept == want and len(kept) > 100
+    assert len(built) == len(kept)
 
 
 def _induction_counts(t, k):
