@@ -226,7 +226,7 @@ def _bounds_row(n: int, k: int, sigma: int, trial: int, seed: int, metrics) -> l
             cnt / (n * k * (math.log(2 * k + 1) + 1)) if k >= 1 else ""
         )
     if "mgr" in metrics:
-        recs = repeats.mgrs(t)
+        recs = repeats.mgrs(t, 2 * k + 2)  # the largest alpha counted below
         ratios = []
         for alpha in range(2, 2 * k + 3):
             cum = sum(1 for r in recs if r.ell <= alpha * r.arm_len)

@@ -156,6 +156,47 @@ class CtSuffixEncoder(_ClipEncoder):
         super().__init__(text, _nearest_before(text, strict=True))
 
 
+class _WaveletMatrix:
+    """Wavelet matrix (Claude, Navarro and Ordonez, 2015) over a symbol
+    array with values in [0..sigma); its queries run elementwise over
+    arrays of half-open ranges [lo, hi), one pass per level, no backtracking.
+    """
+
+    def __init__(self, values: np.ndarray, sigma: int):
+        # one level more than sigma - 1 needs, so a threshold of sigma fits
+        bits = max(1, sigma.bit_length())
+        self.levels = []  # (bit, zeros-prefix array, count of zeros), top bit first
+        cur = np.asarray(values, dtype=np.int64)
+        for b in range(bits - 1, -1, -1):
+            one = (cur >> b) & 1 == 1
+            prefix = np.concatenate(([0], np.cumsum(~one)))
+            self.levels.append((b, prefix, int(prefix[-1])))
+            cur = np.concatenate((cur[~one], cur[one]))
+
+    def count_less(self, v, lo, hi):
+        """Number of values below v in each range."""
+        out = np.zeros_like(lo)
+        for b, prefix, nz in self.levels:
+            z_lo, z_hi = prefix[lo], prefix[hi]
+            one = (v >> b) & 1 == 1
+            out += np.where(one, z_hi - z_lo, 0)
+            lo = np.where(one, nz + lo - z_lo, z_lo)
+            hi = np.where(one, nz + hi - z_hi, z_hi)
+        return out
+
+    def quantile(self, lo, hi, k):
+        """The k-th smallest value (0-based) in each range; needs k < hi - lo."""
+        out = np.zeros_like(lo)
+        for b, prefix, nz in self.levels:
+            z_lo, z_hi = prefix[lo], prefix[hi]
+            one = k >= z_hi - z_lo
+            out |= one.astype(np.int64) << b
+            k = np.where(one, k - (z_hi - z_lo), k)
+            lo = np.where(one, nz + lo - z_lo, z_lo)
+            hi = np.where(one, nz + hi - z_hi, z_hi)
+        return out
+
+
 class OpEncoder(Encoder):
     """Order-preserving code: positions of the tightest value neighbours.
 
@@ -163,9 +204,52 @@ class OpEncoder(Encoder):
     largest value <= X[|X|], beta the last position holding the smallest
     value >= X[|X|] (0 when absent); the code packs them as
     alpha * |X| + beta.
+
+    Code blocks are vectorized.  When T[j] occurs in the window, its
+    previous occurrence is both neighbours (one gather, as for param).
+    Otherwise a wavelet matrix over the text, built on the first block,
+    gives the neighbour values by rank and quantile queries, and a sorted
+    (value, position) key array gives their last positions before j.
     """
 
     relation = "op"
+
+    def __init__(self, text: Text):
+        super().__init__(text)
+        self._wavelet: _WaveletMatrix | None = None
+        self._keys: np.ndarray | None = None
+
+    def code_block(self, starts: np.ndarray, t0: int, depth: int) -> np.ndarray:
+        text = self.text
+        s, j, valid = _block_cells(starts, t0, depth, text.n)
+        p = text.prev[j]
+        # T[j] in the window: alpha = beta = p - s + 1
+        out = np.where(valid, np.where(p >= s, (p - s + 1) * (j - s + 2), 0), -1)
+        rest = np.nonzero(valid & (p < s) & (j > s))
+        if not len(rest[0]):
+            return out
+        if self._wavelet is None:
+            sym = text.padded_np[1:]
+            self._wavelet = _WaveletMatrix(sym, text.sigma)
+            self._keys = np.sort(sym * (text.n + 2) + np.arange(1, text.n + 1))
+        s = s[rest[0], 0]
+        j = j[rest]
+        v = text.padded_np[j]
+        lo, hi = s - 1, j - 1  # the window T[s..j) as a 0-based range
+        wm = self._wavelet
+        # c values of the window lie below T[j]: alpha's value is the c-th
+        # smallest, beta's the next one
+        c = wm.count_less(v + 1, lo, hi)
+        below, above = np.nonzero(c > 0)[0], np.nonzero(c < j - s)[0]
+        cell = np.concatenate((below, above))
+        x = wm.quantile(lo[cell], hi[cell], np.concatenate((c[below] - 1, c[above])))
+        # the last position before j holding x, relative to s
+        w = text.n + 2
+        rel = self._keys[np.searchsorted(self._keys, x * w + j[cell]) - 1] - x * w - s[cell] + 1
+        alpha, beta = np.zeros_like(c), np.zeros_like(c)
+        alpha[below], beta[above] = rel[: len(below)], rel[len(below) :]
+        out[rest] = alpha * (j - s + 1) + beta
+        return out
 
     def code(self, i: int, j: int) -> int:
         self._check(i, j)

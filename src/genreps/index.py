@@ -41,7 +41,9 @@ _ROUND_CELLS = 1 << 17
 
 class _MinTable:
     """Range-minimum queries: direct scans on the LCP arrays of tiny texts,
-    a sparse table with O(1) queries above that."""
+    a sparse table with O(1) queries above that.  The table is built with
+    numpy and kept as Python lists, which index several times faster than
+    numpy scalars."""
 
     def __init__(self, arr):
         self._list = list(arr)
@@ -50,13 +52,13 @@ class _MinTable:
         if m <= _TINY_N + 1:
             self._levels = None
             return
-        base = np.asarray(self._list, dtype=np.int64)
-        levels = [base]
+        prev = np.asarray(self._list, dtype=np.int64)
+        levels = [self._list]
         k = 1
         while (1 << k) <= m:
-            prev = levels[-1]
             half = 1 << (k - 1)
-            levels.append(np.minimum(prev[:-half], prev[half:]))
+            prev = np.minimum(prev[:-half], prev[half:])
+            levels.append(prev.tolist())
             k += 1
         self._levels = levels
 
@@ -66,7 +68,8 @@ class _MinTable:
             return min(self._list[lo : hi + 1])
         k = (hi - lo + 1).bit_length() - 1
         lvl = self._levels[k]
-        return int(min(lvl[lo], lvl[hi - (1 << k) + 1]))
+        a, b = lvl[lo], lvl[hi - (1 << k) + 1]
+        return a if a < b else b
 
 
 def _sort_rows(encoder: Encoder, n: int) -> tuple[list[int], list[list[int]]]:

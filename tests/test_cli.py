@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -148,6 +149,32 @@ def test_bounds_deterministic_and_ratios():
         assert float(row["grun_ratio"]) < 1.0
         assert float(row["mgr_ratio_max"]) < 1.0
         assert float(row["uniform_ratio"]) < 200.0
+
+
+def test_bounds_mgr_row_matches_unbounded_records():
+    """The mgr ratio from records bounded by the largest alpha equals the one
+    counted over every MGR."""
+    from genreps import cli, repeats
+
+    ns, ks, sigmas, seed = (30, 200, 600), (0, 1, 3), (2, 4), 5
+    args = ["bounds", "--n", ",".join(map(str, ns)), "--k-list", ",".join(map(str, ks))]
+    args += ["--sigma-list", "2,4", "--seed", str(seed), "--metrics", "mgr", "--threads", "1"]
+    code, out, _ = run_cli(args)
+    assert code == 0
+    lines = out.strip().split("\n")
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert len(rows) == len(ns) * len(ks) * len(sigmas)
+    for row in rows:
+        n, k, sigma = int(row["n"]), int(row["k"]), int(row["sigma"])
+        t = cli._random_text(random.Random(seed * 1_000_003), n, sigma)
+        recs = repeats.mgrs(t)
+        ratios = [
+            sum(1 for r in recs if r.ell <= alpha * r.arm_len) / (13 * n * alpha)
+            for alpha in range(2, 2 * k + 3)
+        ]
+        assert row["mgr_ratio_max"] == (str(max(ratios)) if ratios else "")
+    assert any(row["mgr_ratio_max"] not in ("", "0.0") for row in rows)
 
 
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):

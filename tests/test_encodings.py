@@ -3,10 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_text
+from conftest import fibonacci, random_text
 from genreps import oracle
 from genreps.encodings import (
     RELATIONS,
+    Encoder,
     make_encoder,
     maximal_palindromes,
     profiles,
@@ -223,3 +224,28 @@ def test_pal_code_and_block_match_oracle():
             for s, got in zip(starts.tolist(), block):
                 want = rows[s][t0 : t0 + depth] if s <= n else []
                 assert got == want + [-1] * (depth - len(want))
+
+
+def test_op_code_block_matches_code():
+    """The vectorized op block equals the per-cell default over `code`.
+
+    Alphabets of 1, 2 and 4 symbols check that the wavelet matrix has a
+    level for the threshold v + 1 = sigma; periodic texts take the
+    previous-occurrence path on almost every cell.
+    """
+    rng = random.Random(41)
+    texts = [
+        random_text(rng, rng.randint(0, 60), rng.choice([1, 2, 3, 4, 5, 26, 300]))
+        for _ in range(300)
+    ]
+    for n in (1, 2, 17, 40, 60):
+        texts += [text_from_symbols((unit * n)[:n]) for unit in ([0], [0, 1], [0, 1, 2])]
+        texts.append(text_from_symbols(fibonacci(n)))
+    for t in texts:
+        n = t.n
+        enc = make_encoder(t, "op")
+        starts = np.array(sorted(rng.sample(range(1, n + 2), rng.randint(1, n + 1))))
+        for t0, depth in ((0, n + 1), (rng.randint(0, n), rng.randint(1, n + 3))):
+            got = enc.code_block(starts, t0, depth)
+            want = Encoder.code_block(enc, starts, t0, depth)
+            assert got.tolist() == want.tolist(), (t.symbols, starts.tolist(), t0, depth)

@@ -183,7 +183,14 @@ def test_block_sort_narrow_rounds(monkeypatch):
 
 @pytest.mark.parametrize(
     "name, rel",
-    [("random2", "param"), ("fib", "param"), ("fib", "ct"), ("unary", "pal")],
+    [
+        ("random2", "param"),
+        ("fib", "param"),
+        ("fib", "ct"),
+        ("fib", "op"),
+        ("unary", "op"),
+        ("unary", "pal"),
+    ],
 )
 def test_block_sort_work_bound(name, rel):
     """Rounds grow with log(max LCP) and cells with the LCP sum.
@@ -213,6 +220,16 @@ def test_block_sort_work_bound(name, rel):
     narrowed = sum(1 for m, t0, d in calls if d < t0 + start and d == max(1, budget // m))
     assert len(calls) - narrowed <= math.ceil(math.log2(1 + max(idx.lcp) / start)) + 1
     assert sum(m * d for m, _, d in calls) <= 2 * sum(idx.lcp) + start * (t.n + 1)
+
+
+def test_tiny_op_index_builds_no_wavelet_matrix():
+    """Tiny op indexes sort code rows, so the block's wavelet matrix stays unbuilt."""
+    rng = random.Random(23)
+    for n in range(index._TINY_N + 1):
+        idx = ScerIndex(random_text(rng, n, 4), "op")
+        assert idx.encoder._wavelet is None
+    idx = ScerIndex(random_text(rng, index._TINY_N + 40, 4), "op")
+    assert idx.encoder._wavelet is not None
 
 
 def test_quasi_suffix_condition_holds():
