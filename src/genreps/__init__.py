@@ -7,7 +7,6 @@ brute-force oracles validating every efficient path.
 """
 
 from .counting import (
-    CursorCounter,
     SquaresTable,
     count_distinct,
     count_nonequivalent,
@@ -25,6 +24,7 @@ from .encodings import (
     scer_match,
 )
 from .index import LpfArrays, ScerIndex, TreeView, build_index, lpf_arrays
+from .oracle import CursorCounter
 from .psquares import (
     PSquareReport,
     candidate_intervals,

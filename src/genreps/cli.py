@@ -21,6 +21,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import counting, oracle, psquares, repeats
 from .encodings import RELATIONS, ParamEncoder
 from .index import ScerIndex
@@ -176,7 +178,7 @@ def cmd_count(args) -> int:
             index = ScerIndex(t, relation)
             table = counting.squares_table(index)
             lpf = index.lpf()
-            osc = int(sum(abs(int(lpf[i + 1]) - int(lpf[i])) for i in range(1, t.n)))
+            osc = int(np.abs(np.diff(lpf[1:])).sum())
             if args.distinct:
                 cnt = counting.count_distinct(t, relation, index=index, table=table)
             else:

@@ -1,80 +1,149 @@
 """Square tables and square counting under an equivalence relation.
 
-Pipeline: one stack pass over the suffix index's LCP array yields all
-right non-extendible squares (suffix pairs at distance p whose LCP is
-exactly p, found small-to-large over the LCP intervals, with no tree
-built); an LCP test filters those down to right non-shiftable squares;
-running the same machinery on the reversed text gives the left
-non-shiftable squares; sorted pairing of the two sets produces, per
-half-period p, the disjoint maximal intervals of square start positions.
-A single left-to-right sweep over interval endpoints with a cursor
-counter then counts squares at their leftmost occurrences, using the
-longest-previous-factor array under the relation (non-equivalent count)
-or under equality (distinct-as-strings count).
+Pipeline, every stage after the suffix index one batched numpy pass:
+the LCP intervals of the index (bounds from previous-/next-smaller
+searches on the LCP array) yield all right non-extendible squares, suffix
+pairs at distance p whose LCP is exactly p, by probing from every child
+range but a largest one of each interval, small-to-large, in chunks of
+bounded size; one batch RMQ filters those down to right non-shiftable
+squares; running the same machinery on the reversed text gives the left
+non-shiftable squares; one lexsort per side pairs them, per half-period p,
+into the disjoint maximal intervals of square start positions.  The count
+is then an offline dominance count over those intervals, squares counted
+at their leftmost occurrences: for each interval, the positions k in it
+whose longest previous factor (under the relation for the non-equivalent
+count, under equality for the distinct-as-strings count) is below the
+square's length, answered by a wavelet matrix over the LPF array.
 """
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encodings import REVERSED_RELATION
-from .index import ScerIndex
+from .encodings import REVERSED_RELATION, _WaveletMatrix
+from .index import _ROUND_CELLS, ScerIndex
 from .text import Text
+
+
+def _run_starts(v: np.ndarray) -> np.ndarray:
+    """Mask of the positions where a run of equal values starts in v."""
+    new = np.empty(len(v), dtype=bool)
+    new[:1] = True
+    np.not_equal(v[1:], v[:-1], out=new[1:])
+    return new
+
+
+def _probe_ranges(index: ScerIndex) -> tuple[np.ndarray, ...]:
+    """The child ranges the right non-extendible pass probes from.
+
+    Every position r with lcp[r] = w > 0 cuts the LCP interval of weight w
+    around it, [lo, end) with lo and end the nearest positions on either
+    side whose LCP is below w, so the interval is keyed by (lo, w).  Its
+    children are the ranges between consecutive cuts.  Returns int32
+    arrays (lo, end, a, b, w) with one entry per child [a, b) of an
+    interval [lo, end) of weight w, for every child except the first
+    largest one.
+    """
+    lcp = index.arrays()[2]
+    m = len(lcp)
+    cut = lcp.nonzero()[0].astype(np.int32)  # lcp[0] = 0
+    if not len(cut):
+        return (cut,) * 5
+    rmq = index.rmq
+    key = lcp[cut] * np.int64(m)
+    key += rmq.prev_smaller(cut)
+    # group the cuts by interval, in position order within each
+    perm = key.argsort(kind="stable")
+    cut, key = cut[perm], key[perm]
+    del perm
+    new = _run_starts(key)
+    heads = new.nonzero()[0]  # the first cut of each interval
+    w, lo = (v.astype(np.int32) for v in np.divmod(key[heads], m))
+    del key
+    end = rmq.next_smaller(cut[heads]).astype(np.int32)
+    # an interval with cuts c1 < ... < ck has children [lo, c1), [c1, c2), ..., [ck, end):
+    # with g intervals up to cut j, child j + g starts there and child j + g - 1 ends there
+    at = new.cumsum(dtype=np.int32)
+    at += np.arange(len(cut), dtype=np.int32)
+    first = at[heads] - 1  # the first child of each interval
+    a = np.empty(len(cut) + len(heads), dtype=np.int32)
+    b = np.empty_like(a)
+    last = np.concatenate((first[1:], [len(a)])) - 1  # the last child of each interval
+    a[at], a[first] = cut, lo
+    b[at - 1], b[last] = cut, end
+    del at, cut
+    # drop the first largest child of each interval
+    size = b - a
+    child_node = np.arange(len(heads), dtype=np.int32).repeat(last - first + 1)
+    big = (size == np.maximum.reduceat(size, first)[child_node]).nonzero()[0]
+    keep = np.ones(len(a), dtype=bool)
+    keep[big[_run_starts(child_node[big])]] = False
+    child_node = child_node[keep]
+    return lo[child_node], end[child_node], a[keep], b[keep], w[child_node]
+
+
+def _probe_chunks(ranges: tuple[np.ndarray, ...]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The cells of the child ranges of `_probe_ranges`, as (child, index
+    position) arrays in chunks of at most `_ROUND_CELLS` cells each; a
+    child may straddle two chunks."""
+    a, b = ranges[2], ranges[3]
+    size = (b - a).astype(np.int64)
+    cum = size.cumsum()
+    total = int(cum[-1]) if len(cum) else 0
+    start = cum - size  # the number of each child's first cell
+    shift = (a - start).astype(np.int32)  # index position minus cell number
+    for f0 in range(0, total, _ROUND_CELLS):
+        f1 = min(f0 + _ROUND_CELLS, total)
+        c0, c1 = cum.searchsorted([f0, f1 - 1], side="right").tolist()
+        met = slice(c0, c1 + 1)  # the children the chunk meets, and its share of each
+        child = np.arange(c0, c1 + 1, dtype=np.int32).repeat(np.minimum(cum[met], f1) - np.maximum(start[met], f0))
+        yield child, np.arange(f0, f1, dtype=np.int32) + shift[child]
 
 
 def right_nonextendible(index: ScerIndex) -> list[tuple[int, int]]:
     """All (i, p) with T[i..i+2p) a right non-extendible square.
 
     These are exactly the pairs of suffixes (i, i+p) whose longest common
-    equivalent prefix is p.  One stack pass over the LCP array visits the
-    LCP intervals bottom-up (Abouelhoda, Kurtz and Ohlebusch 2004): an
-    interval of weight w covers the suffixes at index positions
-    [lo..hi] and is cut into child ranges at the positions r with
-    lcp[r] == w.  Two suffixes have LCP exactly w when they lie in the
-    interval but in different children, so each suffix i of every child
-    except a largest one probes i-w and i+w.  A non-largest child holds
-    at most half of its interval, so each suffix is read at most
-    ceil(log2(n+2)) times and the pass reads (n+1)·ceil(log2(n+2)) cells
-    of the order at most.
+    equivalent prefix is p.  Two suffixes have LCP exactly w when they lie
+    in one LCP interval of weight w but in different children of it
+    (Abouelhoda, Kurtz and Ohlebusch 2004), so each suffix i of every
+    child except a largest one probes i-w and i+w (`_probe_ranges`).  A
+    non-largest child holds at most half of its interval, so each suffix
+    is probed from at most ceil(log2(n+2)) children and the pass reads
+    (n+1)·ceil(log2(n+2)) cells at most.  The probes run on whole chunks
+    of at most `index._ROUND_CELLS` cells, which bounds the pass's memory.
     """
     n = index.n
-    order, rank, lcp = index.order, index.rank, index.lcp
-    out: set[tuple[int, int]] = set()
-    # open intervals, innermost last: (weight, start positions of the children)
-    stack: list[tuple[int, list[int]]] = [(0, [0])]
-    for r in range(1, n + 2):
-        h = lcp[r] if r <= n else 0
-        lo = r - 1
-        while h < stack[-1][0]:
-            # the interval covers positions lo..r-1, its k-th child
-            # cuts[k]..cuts[k+1]-1
-            w, cuts = stack.pop()
-            lo = cuts[0]
-            cuts.append(r)
-            sizes = [b - a for a, b in zip(cuts, cuts[1:])]
-            heavy = sizes.index(max(sizes))
-            for k in range(len(sizes)):
-                if k == heavy:
-                    continue
-                a, b = cuts[k], cuts[k + 1]
-                for i in order[a:b]:
-                    if i > w:
-                        q = rank[i - w]
-                        if lo <= q < a or b <= q < r:
-                            out.add((i - w, w))
-                    if i + w <= n:
-                        q = rank[i + w]
-                        if lo <= q < a or b <= q < r:
-                            out.add((i, w))
-        if h > stack[-1][0]:
-            stack.append((h, [lo, r]))
-        else:
-            stack[-1][1].append(r)
-    return sorted(out)
+    order, rank, _ = index.arrays()
+    ranges = lo, end, a, b, w = _probe_ranges(index)
+    span, size = (end - lo).view(np.uint32), (b - a).view(np.uint32)
+    found = [np.zeros(0, dtype=np.int64)]
+    for child, pos in _probe_chunks(ranges):
+        i = order[pos]
+        del pos
+        cw = w[child]
+        back = i - cw
+        for first, partner, ok in ((back, back, back > 0), (i, i + cw, i <= n - cw)):
+            # the partner lies in the interval but not in the child: the LCP is exactly w
+            q = rank.take(partner, mode="clip")
+            ok &= (q - lo[child]).view(np.uint32) < span[child]
+            ok &= (q - a[child]).view(np.uint32) >= size[child]
+            found.append(first[ok].astype(np.int64) * (n + 1) + cw[ok])
+    keys = np.sort(np.concatenate(found))
+    keys = keys[_run_starts(keys)]
+    return list(zip((keys // (n + 1)).tolist(), (keys % (n + 1)).tolist()))
+
+
+def _pair_array(pairs: list[tuple[int, ...]], width: int = 2) -> np.ndarray:
+    """A list of equal-length integer tuples as a (len, width) int64 array."""
+    flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64, count=width * len(pairs))
+    return flat.reshape(-1, width)
 
 
 def right_nonshiftable(index: ScerIndex, rne: list[tuple[int, int]] | None = None) -> list[tuple[int, int]]:
@@ -82,13 +151,14 @@ def right_nonshiftable(index: ScerIndex, rne: list[tuple[int, int]] | None = Non
 
     A right non-extendible square T[i..i+2p) is right shiftable exactly
     when the suffixes i+1 and i+p+1 share an equivalent prefix of length p
-    (it is always at least p-1).
+    (it is always at least p-1).  One batch LCP query tests every pair.
     """
     if rne is None:
         rne = right_nonextendible(index)
-    return [
-        (i, p) for i, p in rne if index.lcp_suffixes(i + 1, i + p + 1) == p - 1
-    ]
+    pairs = _pair_array(rne)
+    i, p = pairs[:, 0], pairs[:, 1]
+    keep = (index.lcp_batch(i + 1, i + p + 1) == p - 1).nonzero()[0]
+    return [rne[k] for k in keep.tolist()]
 
 
 @dataclass
@@ -124,122 +194,90 @@ def reversed_index(index: ScerIndex) -> ScerIndex:
     return ScerIndex(index.text.reversed(), REVERSED_RELATION[index.relation])
 
 
-def nonshiftable_sets(
-    index: ScerIndex, rev_index: ScerIndex | None = None
-) -> dict[int, tuple[list[int], list[int]]]:
-    """Per half-period p: (left non-shiftable starts, right non-shiftable starts).
+def _nonshiftable_starts(
+    index: ScerIndex, rev_index: ScerIndex | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(start, p) arrays of the left and of the right non-shiftable squares.
 
     The left side runs the right-side machinery on the reversed text; a
     square at i with half-period p maps to start n-i-2p+2 there.
     """
-    n = index.n
     if rev_index is None:
         rev_index = reversed_index(index)
+    right = _pair_array(right_nonshiftable(index))
+    left = _pair_array(right_nonshiftable(rev_index))
+    left[:, 0] = index.n - left[:, 0] - 2 * left[:, 1] + 2
+    return left, right
+
+
+def nonshiftable_sets(
+    index: ScerIndex, rev_index: ScerIndex | None = None
+) -> dict[int, tuple[list[int], list[int]]]:
+    """Per half-period p: (left non-shiftable starts, right non-shiftable starts)."""
+    left, right = _nonshiftable_starts(index, rev_index)
     by_p: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
-    for i, p in right_nonshiftable(index):
+    for i, p in right.tolist():
         by_p[p][1].append(i)
-    for istar, p in right_nonshiftable(rev_index):
-        by_p[p][0].append(n - istar - 2 * p + 2)
+    for i, p in left.tolist():
+        by_p[p][0].append(i)
     return dict(by_p)
 
 
 def squares_table(
     index: ScerIndex, rev_index: ScerIndex | None = None
 ) -> SquaresTable:
-    """Pair sorted left/right non-shiftable starts into maximal intervals."""
-    sets = nonshiftable_sets(index, rev_index)
+    """Pair sorted left/right non-shiftable starts into maximal intervals.
+
+    Per half-period p, the k-th smallest left start pairs with the k-th
+    smallest right start; both sides are sorted by (p, start) with one
+    lexsort each.
+    """
+    left, right = _nonshiftable_starts(index, rev_index)
+    lo, lp = left[np.lexsort((left[:, 0], left[:, 1]))].T
+    hi, rp = right[np.lexsort((right[:, 0], right[:, 1]))].T
+    _check_pairing(lo, lp, hi, rp)
     table = SquaresTable(index.n, index.relation)
-    for p, (lefts, rights) in sorted(sets.items()):
-        lefts.sort()
-        rights.sort()
-        if len(lefts) != len(rights):
-            raise AssertionError(
-                f"unbalanced interval endpoints for p={p}: "
-                f"{len(lefts)} left vs {len(rights)} right"
-            )
-        ivs = []
-        for lo, hi in zip(lefts, rights):
-            if lo > hi:
-                raise AssertionError(f"crossed interval [{lo}..{hi}] for p={p}")
-            ivs.append((lo, hi))
-        table.intervals[p] = ivs
+    heads = _run_starts(rp).nonzero()[0].tolist()  # the first start of each p
+    lo_l, hi_l, p_l = lo.tolist(), hi.tolist(), rp.tolist()
+    for s, e in zip(heads, [*heads[1:], len(rp)]):
+        table.intervals[p_l[s]] = list(zip(lo_l[s:e], hi_l[s:e]))
     return table
 
 
-class CursorCounter:
-    """Dynamic set over [1..n] with a cursor; reports |Y ∩ (cursor..n]|.
-
-    Backed by an indicator bit array and a running count, so every
-    operation is O(1).
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self._bits = bytearray(n + 2)
-        self.cursor = 0
-        self.count = 0
-
-    def insert(self, x: int) -> int:
-        if not (1 <= x <= self.n):
-            raise ValueError(f"element {x} out of [1..{self.n}]")
-        if self._bits[x]:
-            raise ValueError(f"element {x} already present")
-        self._bits[x] = 1
-        if x > self.cursor:
-            self.count += 1
-        return self.count
-
-    def delete(self, x: int) -> int:
-        if not (1 <= x <= self.n) or not self._bits[x]:
-            raise ValueError(f"element {x} not present")
-        self._bits[x] = 0
-        if x > self.cursor:
-            self.count -= 1
-        return self.count
-
-    def inc(self) -> int:
-        if self.cursor >= self.n:
-            raise ValueError("cursor already at n")
-        self.cursor += 1
-        self.count -= self._bits[self.cursor]
-        return self.count
-
-    def dec(self) -> int:
-        if self.cursor <= 0:
-            raise ValueError("cursor already at 0")
-        self.count += self._bits[self.cursor]
-        self.cursor -= 1
-        return self.count
+def _check_pairing(lo: np.ndarray, lp: np.ndarray, hi: np.ndarray, rp: np.ndarray) -> None:
+    """Raise AssertionError at the smallest p whose left and right starts
+    differ in number or pair into a crossed interval; lp and rp are sorted."""
+    m = min(len(lp), len(rp))
+    differ = (lp[:m] != rp[:m]).nonzero()[0]
+    k = int(differ[0]) if len(differ) else m  # the first position where the sides differ
+    p = None  # the smallest unbalanced p
+    if k < max(len(lp), len(rp)):
+        p = min(int(v[k]) for v in (lp, rp) if k < len(v))
+    # below p both sides align, so a crossing there is a real one
+    upto = len(lp) if p is None else int(lp.searchsorted(p))
+    crossed = (lo[:upto] > hi[:upto]).nonzero()[0]
+    if len(crossed):
+        c = crossed[0]
+        raise AssertionError(f"crossed interval [{int(lo[c])}..{int(hi[c])}] for p={int(lp[c])}")
+    if p is not None:
+        nl, nr = (int(np.count_nonzero(v == p)) for v in (lp, rp))
+        raise AssertionError(f"unbalanced interval endpoints for p={p}: {nl} left vs {nr} right")
 
 
 def sweep_count(table: SquaresTable, lpf: np.ndarray, n: int) -> int:
-    """Sum over positions of active square lengths exceeding lpf[k].
+    """Sum over intervals [lo..hi] of half-period p of the number of
+    positions k in [lo..hi] with lpf[k] < 2p: the squares of length 2p
+    whose leftmost occurrence starts at k.
 
-    Walks k = 1..n keeping the set of active doubled half-periods; at each
-    k the cursor moves to lpf[k] and the structure reports how many active
-    squares of length 2p satisfy lpf[k] < 2p, i.e. have their leftmost
-    occurrence at k.
+    One offline dominance count: a wavelet matrix over lpf[1..n] answers
+    every interval's count_less query in one batch.
     """
-    starts: dict[int, list[int]] = defaultdict(list)
-    ends: dict[int, list[int]] = defaultdict(list)
-    for p, ivs in table.intervals.items():
-        for lo, hi in ivs:
-            starts[lo].append(2 * p)
-            ends[hi].append(2 * p)
-    counter = CursorCounter(n)
-    total = 0
-    for k in range(1, n + 1):
-        for x in starts.get(k, ()):
-            counter.insert(x)
-        target = int(lpf[k])
-        while counter.cursor < target:
-            counter.inc()
-        while counter.cursor > target:
-            counter.dec()
-        total += counter.count
-        for x in ends.get(k, ()):
-            counter.delete(x)
-    return total
+    ivs = [(lo, hi, 2 * p) for p, pieces in table.intervals.items() for lo, hi in pieces]
+    lo, hi, length = _pair_array(ivs, 3).T
+    values = np.asarray(lpf[1 : n + 1], dtype=np.int64)
+    sigma = int(values.max(initial=0)) + 1
+    wm = _WaveletMatrix(values, sigma)
+    return int(wm.count_less(np.minimum(length, sigma), lo - 1, hi).sum())
 
 
 def count_nonequivalent(

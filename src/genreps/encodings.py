@@ -168,10 +168,11 @@ class _WaveletMatrix:
         self.levels = []  # (bit, zeros-prefix array, count of zeros), top bit first
         cur = np.asarray(values, dtype=np.int64)
         for b in range(bits - 1, -1, -1):
-            one = (cur >> b) & 1 == 1
-            prefix = np.concatenate(([0], np.cumsum(~one)))
+            zero = (cur >> b) & 1 == 0
+            prefix = np.zeros(len(cur) + 1, dtype=np.int64)
+            zero.cumsum(out=prefix[1:])
             self.levels.append((b, prefix, int(prefix[-1])))
-            cur = np.concatenate((cur[~one], cur[one]))
+            cur = np.concatenate((cur[zero], cur[~zero]))
 
     def count_less(self, v, lo, hi):
         """Number of values below v in each range."""

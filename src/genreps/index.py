@@ -4,8 +4,12 @@ The index orders the code strings of all suffixes (each suffix T[i..n]
 contributes the sequence of codes of its prefixes, terminated by an
 end-marker below every code), stores the adjacent-pair LCP array, and
 answers longest-common-equivalent-prefix queries between any two suffixes
-via range-minimum queries.  From it we derive longest-previous-factor
-arrays and a weighted tree view of the compacted trie.
+via range-minimum queries on a numpy sparse table, one pair at a time or
+a whole batch at once.  The same table finds every position's previous
+and next smaller value by a binary-lifting descent, which gives the LCP
+intervals of the counting pass and, over the suffix order, the
+longest-previous-factor array in one batched pass.  A weighted tree view
+of the compacted trie serves the tests.
 
 Construction is deterministic.  Tiny texts (n <= _TINY_N) materialize
 and sort the code rows outright.  Larger texts use prefix doubling plus
@@ -26,50 +30,87 @@ import numpy as np
 from .encodings import Encoder, ExactEncoder, make_encoder
 from .text import Text
 
-# Texts up to this length sort materialized rows and scan for range minima
-# in pure Python: numpy's per-call overhead outweighs the block sort and
-# the sparse table on them, and the oracle sweeps build hundreds of
-# thousands of such indexes.
+# Texts up to this length sort materialized rows in pure Python: numpy's
+# per-call overhead outweighs the block sort on them, and the oracle sweeps
+# build hundreds of thousands of such indexes.
 _TINY_N = 16
 # Code columns read per suffix in the block sort's first round; the depth
 # doubles each round after that.
 _START_DEPTH = 24
 # Upper limit on the code cells one round reads (block rows x columns),
 # which bounds the block's memory; rounds go narrower to stay under it.
+# The counting pass's probe chunks share the budget.
 _ROUND_CELLS = 1 << 17
 
 
 class _MinTable:
-    """Range-minimum queries: direct scans on the LCP arrays of tiny texts,
-    a sparse table with O(1) queries above that.  The table is built with
-    numpy and kept as Python lists, which index several times faster than
-    numpy scalars."""
+    """Range minima of an integer array by a sparse table.
+
+    Row k of one (levels x m) numpy array (int32 where the values fit)
+    holds the minimum of every window of 2**k cells, clipped at the end of
+    the array.  Queries take O(1) cells each: scalar ones read two cells,
+    batch ones run elementwise over arrays of ranges, and the previous-/
+    next-smaller searches descend the rows by binary lifting, one
+    elementwise round per row over all of their positions at once.
+    """
 
     def __init__(self, arr):
-        self._list = list(arr)
-        m = len(self._list)
-        self._m = m
-        if m <= _TINY_N + 1:
-            self._levels = None
-            return
-        prev = np.asarray(self._list, dtype=np.int64)
-        levels = [self._list]
-        k = 1
-        while (1 << k) <= m:
+        a = np.asarray(arr)
+        m = len(a)
+        small = a.dtype == np.int32 or m == 0 or (-(1 << 31) <= a.min() and a.max() < 1 << 31)
+        tab = np.empty((max(1, m.bit_length()), m), dtype=np.int32 if small else np.int64)
+        tab[0] = a
+        for k in range(1, len(tab)):
             half = 1 << (k - 1)
-            prev = np.minimum(prev[:-half], prev[half:])
-            levels.append(prev.tolist())
-            k += 1
-        self._levels = levels
+            np.minimum(tab[k - 1, : m - half], tab[k - 1, half:], out=tab[k, : m - half])
+            tab[k, m - half :] = tab[k - 1, m - half :]
+        self._tab = tab
+        self._rows = list(tab)  # one row gathers faster than tab[k, idx]
+        self._m = m
+        self._log: np.ndarray | None = None
 
     def query(self, lo: int, hi: int) -> int:
         """min(arr[lo..hi]), inclusive; requires lo <= hi."""
-        if self._levels is None:
-            return min(self._list[lo : hi + 1])
         k = (hi - lo + 1).bit_length() - 1
-        lvl = self._levels[k]
-        a, b = lvl[lo], lvl[hi - (1 << k) + 1]
+        tab = self._tab
+        a, b = tab.item(k, lo), tab.item(k, hi - (1 << k) + 1)
         return a if a < b else b
+
+    def query_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """min(arr[lo..hi]) for each pair of the arrays; requires lo <= hi."""
+        if self._log is None:
+            # floor(log2(length)) for every range length 1..m, at index length-1
+            self._log = (np.frexp(np.arange(1, self._m + 1))[1] - 1).astype(np.intp)
+        k = self._log[hi - lo]
+        tab = self._tab
+        return np.minimum(tab[k, lo], tab[k, hi + 1 - (1 << k)])
+
+    def prev_smaller(self, pos: np.ndarray) -> np.ndarray:
+        """For each position r, the largest q < r with arr[q] < arr[r], or -1."""
+        rows = self._rows
+        thr = rows[0][pos]
+        cur = np.array(pos, dtype=np.intp)
+        zero = np.intp(0)
+        for k in range(len(rows) - 1, -1, -1):
+            # a window clamped to start at 0 that passes means all of
+            # arr[0..cur) passes: cur may then go below 0, and the answer is -1
+            step = np.intp(1 << k)
+            ok = rows[k][np.maximum(cur - step, zero)] >= thr
+            np.subtract(cur, step, out=cur, where=ok)
+        cur -= 1
+        return np.maximum(cur, -1, out=cur)
+
+    def next_smaller(self, pos: np.ndarray) -> np.ndarray:
+        """For each position r, the smallest q > r with arr[q] < arr[r], or m."""
+        rows, last = self._rows, np.intp(self._m - 1)
+        thr = rows[0][pos]
+        nxt = np.array(pos, dtype=np.intp)
+        nxt += 1
+        for k in range(len(rows) - 1, -1, -1):
+            # past the end nothing is smaller, so a clipped window decides
+            ok = rows[k][np.minimum(nxt, last)] >= thr
+            np.add(nxt, np.intp(1 << k), out=nxt, where=ok)
+        return np.minimum(nxt, last + 1, out=nxt)
 
 
 def _sort_rows(encoder: Encoder, n: int) -> tuple[list[int], list[list[int]]]:
@@ -199,6 +240,7 @@ class ScerIndex:
             self.order = order.tolist()
             self.rank = self._order_ranks()
             self.lcp = lcp.tolist()
+        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._rmq: _MinTable | None = None
         self._lpf: np.ndarray | None = None
         self._tree: TreeView | None = None
@@ -209,10 +251,16 @@ class ScerIndex:
             rank[start] = r
         return rank
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """order, rank and lcp as int32 numpy arrays, converted once and cached."""
+        if self._arrays is None:
+            self._arrays = tuple(np.array(v, dtype=np.int32) for v in (self.order, self.rank, self.lcp))
+        return self._arrays
+
     @property
     def rmq(self) -> _MinTable:
         if self._rmq is None:
-            self._rmq = _MinTable(self.lcp)
+            self._rmq = _MinTable(self.arrays()[2])
         return self._rmq
 
     def lcp_suffixes(self, i: int, j: int) -> int:
@@ -227,50 +275,38 @@ class ScerIndex:
             r1, r2 = r2, r1
         return self.rmq.query(r1 + 1, r2)
 
+    def lcp_batch(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """lcp_suffixes(i, j) elementwise over arrays of positions in [1..n+1]."""
+        rank = self.arrays()[1]
+        r1, r2 = rank[i], rank[j]
+        lo, hi = np.minimum(r1, r2), np.maximum(r1, r2)
+        same = lo == hi
+        got = self.rmq.query_batch(np.where(same, hi, lo + 1), hi).astype(np.int64)
+        return np.where(same, self.n + 1 - i, got)
+
     def lpf(self) -> np.ndarray:
         """Longest previous factor under the relation; 1-based, index 0 unused.
 
         lpf[i] is the largest l such that T[i..i+l) is equivalent to
-        T[j..j+l) for some j < i.  Computed from the suffix order via the
-        nearest earlier-starting suffix on each side in rank space.
+        T[j..j+l) for some j < i: the larger LCP with the nearest
+        earlier-starting suffix on each side in rank space, found by
+        previous-/next-smaller searches over the order and two batch RMQs.
         """
         if self._lpf is not None:
             return self._lpf
-        n = self.n
-        order = self.order
+        order = self.arrays()[0]
         m = len(order)
-        prev_c = [-1] * m
-        next_c = [-1] * m
-        stack: list[int] = []
-        for r in range(m):
-            v = order[r]
-            while stack and order[stack[-1]] > v:
-                stack.pop()
-            prev_c[r] = stack[-1] if stack else -1
-            stack.append(r)
-        stack.clear()
-        for r in range(m - 1, -1, -1):
-            v = order[r]
-            while stack and order[stack[-1]] > v:
-                stack.pop()
-            next_c[r] = stack[-1] if stack else -1
-            stack.append(r)
+        r = np.arange(m)
+        starts = _MinTable(order)
+        prev, nxt = starts.prev_smaller(r), starts.next_smaller(r)
         rmq = self.rmq
-        lpf = np.zeros(n + 1, dtype=np.int64)
-        for r in range(m):
-            i = order[r]
-            if i > n:
-                continue
-            best = 0
-            p = prev_c[r]
-            if p != -1:
-                best = rmq.query(p + 1, r)
-            q = next_c[r]
-            if q != -1:
-                v = rmq.query(r + 1, q)
-                if v > best:
-                    best = v
-            lpf[i] = best
+        left = rmq.query_batch(prev + 1, r)  # no neighbour (-1): reads lcp[0] = 0
+        hi = np.minimum(nxt, m - 1)
+        right = rmq.query_batch(np.minimum(r + 1, hi), hi)
+        right[nxt == m] = 0
+        real = order <= self.n  # all but the empty suffix n+1
+        lpf = np.zeros(self.n + 1, dtype=np.int64)
+        lpf[order[real]] = np.maximum(left, right)[real]
         self._lpf = lpf
         return lpf
 

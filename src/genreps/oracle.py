@@ -453,6 +453,82 @@ def naive_rangecount_sum(intervals: dict[int, list[tuple[int, int]]], lpf, n: in
     return total
 
 
+class CursorCounter:
+    """Dynamic set over [1..n] with a cursor; reports |Y ∩ (cursor..n]|.
+
+    Backed by an indicator bit array and a running count, so every
+    operation is O(1).
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._bits = bytearray(n + 2)
+        self.cursor = 0
+        self.count = 0
+
+    def insert(self, x: int) -> int:
+        if not (1 <= x <= self.n):
+            raise ValueError(f"element {x} out of [1..{self.n}]")
+        if self._bits[x]:
+            raise ValueError(f"element {x} already present")
+        self._bits[x] = 1
+        if x > self.cursor:
+            self.count += 1
+        return self.count
+
+    def delete(self, x: int) -> int:
+        if not (1 <= x <= self.n) or not self._bits[x]:
+            raise ValueError(f"element {x} not present")
+        self._bits[x] = 0
+        if x > self.cursor:
+            self.count -= 1
+        return self.count
+
+    def inc(self) -> int:
+        if self.cursor >= self.n:
+            raise ValueError("cursor already at n")
+        self.cursor += 1
+        self.count -= self._bits[self.cursor]
+        return self.count
+
+    def dec(self) -> int:
+        if self.cursor <= 0:
+            raise ValueError("cursor already at 0")
+        self.count += self._bits[self.cursor]
+        self.cursor -= 1
+        return self.count
+
+
+def cursor_sweep_count(intervals: dict[int, list[tuple[int, int]]], lpf, n: int) -> int:
+    """The interval/LPF range-count sum by a left-to-right cursor sweep.
+
+    Walks k = 1..n keeping the set of active doubled half-periods; at each
+    k the cursor moves to lpf[k] and the counter reports how many active
+    squares of length 2p satisfy lpf[k] < 2p, i.e. have their leftmost
+    occurrence at k.
+    """
+    starts: dict[int, list[int]] = {}
+    ends: dict[int, list[int]] = {}
+    for p, ivs in intervals.items():
+        for lo, hi in ivs:
+            starts.setdefault(lo, []).append(2 * p)
+            ends.setdefault(hi, []).append(2 * p)
+    counter = CursorCounter(n)
+    total = 0
+    for k in range(1, n + 1):
+        for x in starts.get(k, ()):
+            counter.insert(x)
+        target = int(lpf[k])
+        while counter.cursor < target:
+            counter.inc()
+        while counter.cursor > target:
+            counter.dec()
+        total += counter.count
+        for x in ends.get(k, ()):
+            counter.delete(x)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # verification engine (backend of the `verify` subcommand)
 

@@ -101,18 +101,18 @@ def verify_intervals(
     index: ScerIndex | None = None,
 ) -> dict[int, list[tuple[int, int]]]:
     """Drop or keep each candidate interval whole, testing only its left
-    endpoint with one LCP query against the parameterized index."""
+    endpoint against the parameterized index: one batch LCP query answers
+    every piece."""
     if candidates is None:
         candidates = candidate_intervals(t)
     if index is None:
         index = ScerIndex(t, "param")
+    pieces = [piece for ps in candidates.values() for piece in ps]
+    ell = np.repeat(np.fromiter(candidates, dtype=np.int64), [len(ps) for ps in candidates.values()])
+    lo = np.fromiter((piece[0] for piece in pieces), dtype=np.int64, count=len(pieces))
     out: dict[int, list[tuple[int, int]]] = {}
-    for ell, pieces in candidates.items():
-        kept = [
-            (lo, hi) for lo, hi in pieces if index.lcp_suffixes(lo, lo + ell) >= ell
-        ]
-        if kept:
-            out[ell] = kept
+    for k in (index.lcp_batch(lo, lo + ell) >= ell).nonzero()[0].tolist():
+        out.setdefault(int(ell[k]), []).append(pieces[k])
     return out
 
 

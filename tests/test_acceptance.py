@@ -250,12 +250,12 @@ def test_criterion_8_sweep_equivalence(corpus):
             lpf = idx.lpf()
             from genreps.counting import sweep_count
 
-            assert sweep_count(table, lpf, t.n) == oracle.naive_rangecount_sum(
-                table.intervals, lpf, t.n
-            )
+            got = sweep_count(table, lpf, t.n)
+            assert got == oracle.naive_rangecount_sum(table.intervals, lpf, t.n)
+            assert got == oracle.cursor_sweep_count(table.intervals, lpf, t.n)
             checked += 1
     # randomized counting-structure ops against a definitional recount
-    from genreps.counting import CursorCounter
+    from genreps.oracle import CursorCounter
 
     rng = random.Random(99)
     n = 64
@@ -291,7 +291,7 @@ def test_criterion_8_sweep_equivalence(corpus):
         assert got == sum(1 for v in present if v > cursor)
         ops += 1
     print(
-        f"criterion 8 PASS: sweep equals naive range-count ({checked} spot checks, "
+        f"criterion 8 PASS: sweep equals naive range-count and the cursor sweep ({checked} spot checks, "
         f"plus every corpus text via the oracle harness); {ops} structure ops match recounts"
     )
 

@@ -1,12 +1,13 @@
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 from conftest import fibonacci, random_text
-from genreps import oracle
+from genreps import counting, oracle
 from genreps.counting import (
-    CursorCounter,
     count_distinct,
     count_nonequivalent,
     reversed_index,
@@ -17,6 +18,7 @@ from genreps.counting import (
 )
 from genreps.encodings import RELATIONS
 from genreps.index import ScerIndex
+from genreps.oracle import CursorCounter
 from genreps.text import parse_text, text_from_symbols
 
 
@@ -31,6 +33,7 @@ def test_nonextendible_examples():
 def test_nonextendible_random_vs_lcp_definition():
     rng = random.Random(1)
     texts = [random_text(rng, rng.randint(0, 60), rng.choice([2, 3])) for _ in range(10)]
+    texts += [random_text(rng, n, sigma) for n in range(17, 21) for sigma in (1, 2, 3)]
     texts += [random_text(rng, rng.randint(290, 310), 2) for _ in range(3)]
     for n in (1, 2, 7, 16, 17, 64, 150):
         texts += [text_from_symbols(sym) for sym in (
@@ -49,35 +52,43 @@ def test_nonextendible_random_vs_lcp_definition():
                 assert got == want, (idx.relation, t.symbols)
 
 
-class _CountingList(list):
-    """A list that counts the cells read through indexing and slicing."""
-
-    reads = 0
-
-    def __getitem__(self, key):
-        got = super().__getitem__(key)
-        self.reads += len(got) if isinstance(key, slice) else 1
-        return got
-
-
 @pytest.mark.parametrize(
     "name, rel",
     [("unary", "exact"), ("unary", "param"), ("period2", "exact"), ("fib", "ct")],
 )
 def test_nonextendible_work_bound(name, rel):
-    """Small-to-large: the pass reads each suffix of the order at most
-    ceil(log2(n+2)) times, since it scans only the non-largest children."""
+    """Small-to-large: the pass probes from every child range but a largest
+    one, so each suffix lies in at most ceil(log2(n+2)) of the ranges it
+    expands, and their sizes sum to at most (n+1)·ceil(log2(n+2))."""
     sym = {
         "unary": [0] * 3000,
         "period2": [i % 2 for i in range(3000)],
         "fib": fibonacci(2584),
     }[name]
     idx = ScerIndex(text_from_symbols(sym), rel)
-    want = right_nonextendible(idx)
-    idx.order = _CountingList(idx.order)
-    assert right_nonextendible(idx) == want
+    _, _, a, b, _ = counting._probe_ranges(idx)
     n = idx.n
-    assert idx.order.reads <= (n + 1) * math.ceil(math.log2(n + 2))
+    assert int((b - a).sum()) <= (n + 1) * math.ceil(math.log2(n + 2))
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64])
+def test_nonextendible_probe_chunks_within_budget(monkeypatch, budget):
+    """Every probe chunk holds at most the cell budget, the chunks together
+    hold each cell of the expanded child ranges once, and the pairs found
+    do not depend on the budget."""
+    rng = random.Random(budget)
+    for t in [random_text(rng, 120, 2), text_from_symbols([0] * 80), text_from_symbols(fibonacci(89))]:
+        idx = ScerIndex(t, "param")
+        want = right_nonextendible(idx)
+        ranges = counting._probe_ranges(idx)
+        a, b = ranges[2], ranges[3]
+        cells = [(c, x) for c in range(len(a)) for x in range(a[c], b[c])]
+        monkeypatch.setattr(counting, "_ROUND_CELLS", budget)
+        chunks = list(counting._probe_chunks(ranges))
+        assert all(len(child) == len(pos) <= budget for child, pos in chunks)
+        assert [(int(c), int(x)) for child, pos in chunks for c, x in zip(child, pos)] == cells
+        assert right_nonextendible(idx) == want
+        monkeypatch.undo()
 
 
 def test_nonshiftable_unary():
@@ -98,6 +109,43 @@ def test_boundary_square_nonshiftable():
     assert table.intervals == {2: [(1, 1)]}
 
 
+def _pairing_error(lefts, rights):
+    """The first pairing failure of a per-p loop over sorted starts, or None."""
+    by_p = {}
+    for side, pairs in ((0, lefts), (1, rights)):
+        for i, p in pairs:
+            by_p.setdefault(p, ([], []))[side].append(i)
+    for p, (left, right) in sorted(by_p.items()):
+        if len(left) != len(right):
+            return f"unbalanced interval endpoints for p={p}: {len(left)} left vs {len(right)} right"
+        for lo, hi in zip(sorted(left), sorted(right)):
+            if lo > hi:
+                return f"crossed interval [{lo}..{hi}] for p={p}"
+    return None
+
+
+def test_pairing_checks_match_per_p_loop():
+    """The vectorized checks raise the failure a per-p loop meets first."""
+    rng = random.Random(17)
+    raised = 0
+    for _ in range(3000):
+        lefts = [(rng.randrange(10), rng.randrange(1, 4)) for _ in range(rng.randrange(6))]
+        rights = [(rng.randrange(10), rng.randrange(1, 4)) for _ in range(rng.randrange(6))]
+        sides = []
+        for pairs in (lefts, rights):
+            arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+            sides += list(arr[np.lexsort((arr[:, 0], arr[:, 1]))].T)
+        lo, lp, hi, rp = sides
+        want = _pairing_error(lefts, rights)
+        if want is None:
+            counting._check_pairing(lo, lp, hi, rp)
+        else:
+            raised += 1
+            with pytest.raises(AssertionError, match=re.escape(want)):
+                counting._check_pairing(lo, lp, hi, rp)
+    assert raised > 1000
+
+
 def test_squares_table_examples(sq_text):
     table = squares_table(ScerIndex(sq_text, "param"))
     assert table.contains(3, 4)  # the p-square of half-length 4 at position 3
@@ -112,8 +160,9 @@ def test_squares_table_examples(sq_text):
 @pytest.mark.parametrize("relation", RELATIONS)
 def test_squares_table_random_vs_oracle(relation):
     rng = random.Random(hash(relation) & 0xFFF)
-    for _ in range(10):
-        t = random_text(rng, rng.randint(0, 70), rng.choice([2, 3, 4]))
+    texts = [random_text(rng, rng.randint(0, 70), rng.choice([2, 3, 4])) for _ in range(10)]
+    texts += [random_text(rng, n, sigma) for n in range(17, 21) for sigma in (1, 2, 3)]
+    for t in texts:
         table = squares_table(ScerIndex(t, relation))
         got = {p: table.positions(p) for p in table.intervals}
         got = {p: v for p, v in got.items() if v}
@@ -233,9 +282,9 @@ def test_sweep_equals_naive_rangecount():
             idx = ScerIndex(t, rel)
             table = squares_table(idx)
             lpf = idx.lpf()
-            assert sweep_count(table, lpf, t.n) == oracle.naive_rangecount_sum(
-                table.intervals, lpf, t.n
-            )
+            got = sweep_count(table, lpf, t.n)
+            assert got == oracle.naive_rangecount_sum(table.intervals, lpf, t.n)
+            assert got == oracle.cursor_sweep_count(table.intervals, lpf, t.n)
 
 
 def test_count_agrees_with_report():

@@ -100,6 +100,55 @@ def test_lpf_oscillation_and_step():
             assert osc < 3 * n
 
 
+def _tie_arrays():
+    """Random arrays with many ties, at lengths 0, 1, 2 and 2^k +- 1."""
+    rng = random.Random(21)
+    lengths = [0, 1, 2] + [(1 << k) + d for k in range(1, 8) for d in (-1, 0, 1)]
+    return [[rng.randrange(v) for _ in range(m)] for m in sorted(set(lengths)) for v in (1, 3, 50)]
+
+
+def test_min_table_batch_query_vs_brute():
+    rng = random.Random(22)
+    for arr in _tie_arrays():
+        m = len(arr)
+        table = index._MinTable(arr)
+        pairs = [(lo, hi) for lo in range(m) for hi in range(lo, m)]
+        if m > 40:
+            pairs = rng.sample(pairs, 400)
+        lo = np.array([p[0] for p in pairs], dtype=np.int64)
+        hi = np.array([p[1] for p in pairs], dtype=np.int64)
+        got = table.query_batch(lo, hi).tolist()
+        assert got == [min(arr[a : b + 1]) for a, b in pairs], arr
+        assert got == [table.query(a, b) for a, b in pairs]
+
+
+def test_min_table_prev_next_smaller_vs_brute():
+    for arr in _tie_arrays():
+        m = len(arr)
+        table = index._MinTable(arr)
+        pos = np.arange(m)
+        prev = [max((q for q in range(r) if arr[q] < arr[r]), default=-1) for r in range(m)]
+        nxt = [min((q for q in range(r + 1, m) if arr[q] < arr[r]), default=m) for r in range(m)]
+        assert table.prev_smaller(pos).tolist() == prev, arr
+        assert table.next_smaller(pos).tolist() == nxt, arr
+        # any subset of positions, in any order
+        sub = pos[::-3]
+        assert table.prev_smaller(sub).tolist() == [prev[r] for r in sub]
+        assert table.next_smaller(sub).tolist() == [nxt[r] for r in sub]
+
+
+def test_lcp_batch_matches_lcp_suffixes():
+    rng = random.Random(23)
+    for t in [random_text(rng, n, s) for n in (0, 1, 5, 16, 17, 40) for s in (1, 2, 4)]:
+        for rel in RELATIONS:
+            idx = ScerIndex(t, rel)
+            pairs = [(i, j) for i in range(1, t.n + 2) for j in range(1, t.n + 2)]
+            i = np.array([p[0] for p in pairs], dtype=np.int64)
+            j = np.array([p[1] for p in pairs], dtype=np.int64)
+            got = idx.lcp_batch(i, j).tolist()
+            assert got == [idx.lcp_suffixes(a, b) for a, b in pairs]
+
+
 def test_tree_lca_weights_match_lcp():
     rng = random.Random(10)
     for _ in range(6):

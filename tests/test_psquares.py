@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_text
+from conftest import fibonacci, random_text
 from genreps import oracle
 from genreps.index import ScerIndex
 from genreps.psquares import (
@@ -86,6 +86,24 @@ def test_verified_equal_brute_membership():
         got = {ell: sorted(_cand_positions(verified, ell)) for ell in verified}
         got = {ell: v for ell, v in got.items() if v}
         assert got == members
+
+
+def test_verify_batch_equals_per_piece_queries():
+    """The batch LCP test keeps exactly the pieces that one lcp_suffixes
+    query per piece keeps, in the same order."""
+    rng = random.Random(6)
+    texts = [random_text(rng, rng.randint(2, 150), rng.choice([2, 3, 4, 26])) for _ in range(20)]
+    texts += [text_from_symbols(sym) for n in (2, 17, 60, 233) for sym in ([0] * n, fibonacci(n))]
+    for t in texts:
+        idx = ScerIndex(t, "param")
+        cands = candidate_intervals(t)
+        want = {}
+        for ell, pieces in cands.items():
+            kept = [(lo, hi) for lo, hi in pieces if idx.lcp_suffixes(lo, lo + ell) >= ell]
+            if kept:
+                want[ell] = kept
+        got = verify_intervals(t, cands, idx)
+        assert got == want and list(got) == list(want), t.symbols
 
 
 def test_dropped_interval_has_no_squares():
