@@ -23,7 +23,7 @@ from .encodings import (
     profiles,
     scer_match,
 )
-from .index import LpfArrays, ScerIndex, TreeView, build_index, lpf_arrays
+from .index import ScerIndex, TreeView
 from .oracle import CursorCounter
 from .psquares import (
     PSquareReport,
@@ -55,7 +55,6 @@ __all__ = [
     "Encoder",
     "GeneralisedRun",
     "KRun",
-    "LpfArrays",
     "Mgr",
     "PSquareReport",
     "Profiles",
@@ -65,7 +64,6 @@ __all__ = [
     "Text",
     "TreeView",
     "UniformKRun",
-    "build_index",
     "candidate_intervals",
     "count_distinct",
     "count_nonequivalent",
@@ -73,7 +71,6 @@ __all__ = [
     "induces",
     "is_k_mismatch_square",
     "k_runs",
-    "lpf_arrays",
     "make_encoder",
     "maximal_palindromes",
     "mgrs",

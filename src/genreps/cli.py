@@ -297,8 +297,8 @@ def _verify_trial(trial: int, seed: int, max_n: int, sigmas, ks) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    if args.max_n > args.cap:
-        print(f"error: --max-n {args.max_n} exceeds the oracle cap {args.cap}", file=sys.stderr)
+    if args.max_n > oracle.BRUTE_CAP:
+        print(f"error: --max-n {args.max_n} exceeds the oracle cap {oracle.BRUTE_CAP}", file=sys.stderr)
         return 2
     sigmas = [int(x) for x in args.sigma_list.split(",")]
     ks = [int(x) for x in args.k_list.split(",")]
@@ -370,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-list", default="2,3,4,5")
     p.add_argument("--k-list", default="0,1,2,3,4")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=oracle.BRUTE_CAP)
     p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=cmd_verify)
 

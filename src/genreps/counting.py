@@ -14,6 +14,9 @@ at their leftmost occurrences: for each interval, the positions k in it
 whose longest previous factor (under the relation for the non-equivalent
 count, under equality for the distinct-as-strings count) is below the
 square's length, answered by a wavelet matrix over the LPF array.
+The squares pass from stage to stage as (m, 2) int64 arrays of (i, p)
+rows, and every stage reads the index's order, rank and LCP arrays as
+they are.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ def _probe_ranges(index: ScerIndex) -> tuple[np.ndarray, ...]:
     interval [lo, end) of weight w, for every child except the first
     largest one.
     """
-    lcp = index.arrays()[2]
+    lcp = index.lcp
     m = len(lcp)
     cut = lcp.nonzero()[0].astype(np.int32)  # lcp[0] = 0
     if not len(cut):
@@ -106,8 +109,9 @@ def _probe_chunks(ranges: tuple[np.ndarray, ...]) -> Iterator[tuple[np.ndarray, 
         yield child, np.arange(f0, f1, dtype=np.int32) + shift[child]
 
 
-def right_nonextendible(index: ScerIndex) -> list[tuple[int, int]]:
-    """All (i, p) with T[i..i+2p) a right non-extendible square.
+def right_nonextendible(index: ScerIndex) -> np.ndarray:
+    """All (i, p) with T[i..i+2p) a right non-extendible square, as the
+    rows of an (m, 2) int64 array sorted by (i, p) without duplicates.
 
     These are exactly the pairs of suffixes (i, i+p) whose longest common
     equivalent prefix is p.  Two suffixes have LCP exactly w when they lie
@@ -120,7 +124,7 @@ def right_nonextendible(index: ScerIndex) -> list[tuple[int, int]]:
     of at most `index._ROUND_CELLS` cells, which bounds the pass's memory.
     """
     n = index.n
-    order, rank, _ = index.arrays()
+    order, rank = index.order, index.rank
     ranges = lo, end, a, b, w = _probe_ranges(index)
     span, size = (end - lo).view(np.uint32), (b - a).view(np.uint32)
     found = [np.zeros(0, dtype=np.int64)]
@@ -137,28 +141,21 @@ def right_nonextendible(index: ScerIndex) -> list[tuple[int, int]]:
             found.append(first[ok].astype(np.int64) * (n + 1) + cw[ok])
     keys = np.sort(np.concatenate(found))
     keys = keys[_run_starts(keys)]
-    return list(zip((keys // (n + 1)).tolist(), (keys % (n + 1)).tolist()))
+    return np.stack(np.divmod(keys, n + 1), axis=1)
 
 
-def _pair_array(pairs: list[tuple[int, ...]], width: int = 2) -> np.ndarray:
-    """A list of equal-length integer tuples as a (len, width) int64 array."""
-    flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64, count=width * len(pairs))
-    return flat.reshape(-1, width)
-
-
-def right_nonshiftable(index: ScerIndex, rne: list[tuple[int, int]] | None = None) -> list[tuple[int, int]]:
+def right_nonshiftable(index: ScerIndex, rne: np.ndarray | None = None) -> np.ndarray:
     """Right non-extendible squares that stay squares nowhere one step right.
 
     A right non-extendible square T[i..i+2p) is right shiftable exactly
     when the suffixes i+1 and i+p+1 share an equivalent prefix of length p
-    (it is always at least p-1).  One batch LCP query tests every pair.
+    (it is always at least p-1).  One batch LCP query tests every pair of
+    the (i, p) rows of `rne`; the kept rows come back in their order.
     """
     if rne is None:
         rne = right_nonextendible(index)
-    pairs = _pair_array(rne)
-    i, p = pairs[:, 0], pairs[:, 1]
-    keep = (index.lcp_batch(i + 1, i + p + 1) == p - 1).nonzero()[0]
-    return [rne[k] for k in keep.tolist()]
+    i, p = rne[:, 0], rne[:, 1]
+    return rne[index.lcp_batch(i + 1, i + p + 1) == p - 1]
 
 
 @dataclass
@@ -204,8 +201,8 @@ def _nonshiftable_starts(
     """
     if rev_index is None:
         rev_index = reversed_index(index)
-    right = _pair_array(right_nonshiftable(index))
-    left = _pair_array(right_nonshiftable(rev_index))
+    right = right_nonshiftable(index)
+    left = right_nonshiftable(rev_index)
     left[:, 0] = index.n - left[:, 0] - 2 * left[:, 1] + 2
     return left, right
 
@@ -272,8 +269,10 @@ def sweep_count(table: SquaresTable, lpf: np.ndarray, n: int) -> int:
     One offline dominance count: a wavelet matrix over lpf[1..n] answers
     every interval's count_less query in one batch.
     """
-    ivs = [(lo, hi, 2 * p) for p, pieces in table.intervals.items() for lo, hi in pieces]
-    lo, hi, length = _pair_array(ivs, 3).T
+    ivs = itertools.chain.from_iterable(
+        (lo, hi, 2 * p) for p, pieces in table.intervals.items() for lo, hi in pieces
+    )
+    lo, hi, length = np.fromiter(ivs, dtype=np.int64, count=3 * table.size).reshape(-1, 3).T
     values = np.asarray(lpf[1 : n + 1], dtype=np.int64)
     sigma = int(values.max(initial=0)) + 1
     wm = _WaveletMatrix(values, sigma)

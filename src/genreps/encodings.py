@@ -301,18 +301,14 @@ class RecencyEncoder(Encoder):
 
     relation = "recency"
 
-    def __init__(self, text: Text):
-        super().__init__(text)
-        self._counts = text.counts.table
-        self._prev = text.prev
-
     def code(self, i: int, j: int) -> int:
         self._check(i, j)
-        lo = max(int(self._prev[j]) + 1, i)
+        lo = max(int(self.text.prev[j]) + 1, i)
         if lo >= j:
             return 0
-        col_hi = self._counts[:, j - 1]
-        col_lo = self._counts[:, lo - 1]
+        counts = self.text.counts.table
+        col_hi = counts[:, j - 1]
+        col_lo = counts[:, lo - 1]
         return int(np.count_nonzero(col_hi > col_lo))
 
     def code_row(self, i: int) -> list[int]:
@@ -500,22 +496,7 @@ class Profiles:
 
 
 def profiles(t: Text) -> Profiles:
-    n = t.n
-    sigma = t.sigma
-    s = t.padded
-    fwd = np.zeros(n + 1, dtype=np.int64)
-    fwd[0] = -1  # 1-based pad, same convention as Text.padded
-    last = [0] * sigma
-    for i in range(1, n + 1):
-        p = last[s[i]]
-        fwd[i] = sum(1 for x in last if x > p)
-        last[s[i]] = i
-    bwd = np.zeros(n + 1, dtype=np.int64)
-    bwd[0] = -1
-    sentinel = n + 1
-    nxt = [sentinel] * sigma
-    for i in range(n, 0, -1):
-        q = nxt[s[i]]
-        bwd[i] = sum(1 for x in nxt if x < q)
-        nxt[s[i]] = i
-    return Profiles(fwd, bwd)
+    fwd = RecencyEncoder(t).code_row(1)
+    bwd = RecencyEncoder(t.reversed()).code_row(1)[::-1]
+    # 1-based, with the same -1 pad as Text.padded
+    return Profiles(np.array([-1, *fwd], dtype=np.int64), np.array([-1, *bwd], dtype=np.int64))

@@ -2,10 +2,11 @@
 
 The index orders the code strings of all suffixes (each suffix T[i..n]
 contributes the sequence of codes of its prefixes, terminated by an
-end-marker below every code), stores the adjacent-pair LCP array, and
-answers longest-common-equivalent-prefix queries between any two suffixes
-via range-minimum queries on a numpy sparse table, one pair at a time or
-a whole batch at once.  The same table finds every position's previous
+end-marker below every code), stores the order, its inverse (rank) and
+the adjacent-pair LCP array as int32 numpy arrays, and answers
+longest-common-equivalent-prefix queries between any two suffixes via
+range-minimum queries on a numpy sparse table, one pair at a time or a
+whole batch at once.  The same table finds every position's previous
 and next smaller value by a binary-lifting descent, which gives the LCP
 intervals of the counting pass and, over the suffix order, the
 longest-previous-factor array in one batched pass.  A weighted tree view
@@ -13,17 +14,16 @@ of the compacted trie serves the tests.
 
 Construction is deterministic.  Tiny texts (n <= _TINY_N) materialize
 and sort the code rows outright.  Larger texts use prefix doubling plus
-the Kasai rank walk for exact matching, and one block sort for every
+the Kasai walk for exact matching, and one block sort for every
 other relation: a level-synchronous MSD radix sort that asks the encoder
 for blocks of code columns (`Encoder.code_block`) of all still-tied
 suffixes, lexsorts them within their tie groups, and writes each adjacent
 LCP where a tied pair first differs.  The Kasai carry is not used there,
-since it is unsound for window-clipped encodings.
+since it is unsound for window-clipped encodings.  Each path makes the
+three arrays once; nothing downstream converts them again.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,22 +199,27 @@ def _block_sort(encoder: Encoder, n: int) -> tuple[np.ndarray, np.ndarray]:
     return order, lcp
 
 
-def _kasai_exact(sym, order: list[int], rank: list[int], n: int) -> list[int]:
-    lcp = [0] * (n + 1)
+def _kasai_exact(sym, order: np.ndarray, n: int) -> np.ndarray:
+    """Adjacent LCPs of the exact suffix order by the Kasai walk.
+
+    The walk visits the suffixes in text order, each against its
+    predecessor in the order (phi), and carries the LCP less one from one
+    suffix to the next; the result is then permuted into rank order.
+    """
+    phi = np.zeros(n + 2, dtype=np.int64)
+    phi[order[1:]] = order[:-1]
+    phi = phi.tolist()
+    plcp = [0] * (n + 2)  # the empty suffix n+1 comes first: lcp 0
     h = 0
-    for i in range(1, n + 2):
-        r = rank[i]
-        if r == 0:
-            h = 0
-            continue
-        j = order[r - 1]
+    for i in range(1, n + 1):
+        j = phi[i]
         limit = min(n - i + 1, n - j + 1)
         while h < limit and sym[i + h] == sym[j + h]:
             h += 1
-        lcp[r] = h
+        plcp[i] = h
         if h:
             h -= 1
-    return lcp
+    return np.array(plcp, dtype=np.int32)[order]
 
 
 class ScerIndex:
@@ -228,39 +233,24 @@ class ScerIndex:
         self.n = n
         if n <= _TINY_N:
             order, rows = _sort_rows(self.encoder, n)
-            self.order = order
-            self.rank = self._order_ranks()
-            self.lcp = _lcp_from_rows(order, rows)
+            lcp = _lcp_from_rows(order, rows)
         elif isinstance(self.encoder, ExactEncoder):
-            self.order = _order_exact_large(text).tolist()
-            self.rank = self._order_ranks()
-            self.lcp = _kasai_exact(text.padded, self.order, self.rank, n)
+            order = _order_exact_large(text)
+            lcp = _kasai_exact(text.padded, order, n)
         else:
             order, lcp = _block_sort(self.encoder, n)
-            self.order = order.tolist()
-            self.rank = self._order_ranks()
-            self.lcp = lcp.tolist()
-        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.order = np.asarray(order, dtype=np.int32)
+        self.lcp = np.asarray(lcp, dtype=np.int32)
+        self.rank = np.zeros(n + 2, dtype=np.int32)
+        self.rank[self.order] = np.arange(n + 1, dtype=np.int32)
         self._rmq: _MinTable | None = None
         self._lpf: np.ndarray | None = None
         self._tree: TreeView | None = None
 
-    def _order_ranks(self) -> list[int]:
-        rank = [0] * (self.n + 2)
-        for r, start in enumerate(self.order):
-            rank[start] = r
-        return rank
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """order, rank and lcp as int32 numpy arrays, converted once and cached."""
-        if self._arrays is None:
-            self._arrays = tuple(np.array(v, dtype=np.int32) for v in (self.order, self.rank, self.lcp))
-        return self._arrays
-
     @property
     def rmq(self) -> _MinTable:
         if self._rmq is None:
-            self._rmq = _MinTable(self.arrays()[2])
+            self._rmq = _MinTable(self.lcp)
         return self._rmq
 
     def lcp_suffixes(self, i: int, j: int) -> int:
@@ -270,15 +260,14 @@ class ScerIndex:
             raise ValueError(f"suffix positions ({i}, {j}) out of range for n={n}")
         if i == j:
             return n - i + 1
-        r1, r2 = self.rank[i], self.rank[j]
+        r1, r2 = self.rank.item(i), self.rank.item(j)
         if r1 > r2:
             r1, r2 = r2, r1
         return self.rmq.query(r1 + 1, r2)
 
     def lcp_batch(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """lcp_suffixes(i, j) elementwise over arrays of positions in [1..n+1]."""
-        rank = self.arrays()[1]
-        r1, r2 = rank[i], rank[j]
+        r1, r2 = self.rank[i], self.rank[j]
         lo, hi = np.minimum(r1, r2), np.maximum(r1, r2)
         same = lo == hi
         got = self.rmq.query_batch(np.where(same, hi, lo + 1), hi).astype(np.int64)
@@ -294,7 +283,7 @@ class ScerIndex:
         """
         if self._lpf is not None:
             return self._lpf
-        order = self.arrays()[0]
+        order = self.order
         m = len(order)
         r = np.arange(m)
         starts = _MinTable(order)
@@ -316,9 +305,8 @@ class ScerIndex:
         return self._tree
 
     def dump_tsv(self) -> str:
-        lines = [
-            f"{r}\t{self.order[r]}\t{self.lcp[r]}" for r in range(len(self.order))
-        ]
+        order, lcp = self.order.tolist(), self.lcp.tolist()
+        lines = [f"{r}\t{order[r]}\t{lcp[r]}" for r in range(len(order))]
         return "\n".join(lines) + "\n"
 
 
@@ -334,8 +322,8 @@ class TreeView:
 
     def __init__(self, index: ScerIndex):
         n = index.n
-        order = index.order
-        lcp = index.lcp
+        order = index.order.tolist()
+        lcp = index.lcp.tolist()
         m = len(order)
         weight: list[int] = []
         parent: list[int] = []
@@ -423,22 +411,3 @@ class TreeView:
             if not self.children[v] and self.leaf_lo[v] == pos:
                 return v
         raise ValueError(f"no leaf at position {pos}")
-
-
-@dataclass(frozen=True)
-class LpfArrays:
-    approx: np.ndarray
-    exact: np.ndarray
-
-
-def build_index(t: Text, relation: str = "exact") -> ScerIndex:
-    return ScerIndex(t, relation)
-
-
-def lpf_arrays(index: ScerIndex, exact_index: ScerIndex | None = None) -> LpfArrays:
-    """Longest-previous-factor arrays: under the index relation and under equality."""
-    if index.relation == "exact":
-        exact_index = index
-    elif exact_index is None:
-        exact_index = ScerIndex(index.text, "exact")
-    return LpfArrays(index.lpf(), exact_index.lpf())

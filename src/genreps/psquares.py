@@ -7,7 +7,9 @@ candidate intervals that are homogeneous: either every position in a
 candidate interval starts a p-square of that length, or none does, and one
 longest-common-prefix query on the left endpoint decides which.
 Leftmost-occurrence reporting then splits the verified intervals
-recursively at minima of a longest-previous-factor array.
+recursively at minima of a longest-previous-factor array, read from one
+sparse table over the packed keys lpf[i]·m + i: a range's minimum key
+names both its smallest LPF and the leftmost position holding it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encodings import profiles
-from .index import ScerIndex
+from .index import ScerIndex, _MinTable
 from .repeats import KRun, UniformKRun, uniform_start_intervals
 from .text import Text, text_from_symbols
 
@@ -116,51 +118,41 @@ def verify_intervals(
     return out
 
 
-class _ArgMinTable:
-    """Sparse table returning a position of the minimum on a range."""
-
-    def __init__(self, values: np.ndarray):
-        vals = np.asarray(values, dtype=np.int64)
-        self._vals = vals
-        m = len(vals)
-        levels = [np.arange(m, dtype=np.int64)]
-        k = 1
-        while (1 << k) <= m:
-            prev = levels[-1]
-            half = 1 << (k - 1)
-            left, right = prev[:-half], prev[half:]
-            levels.append(np.where(vals[left] <= vals[right], left, right))
-            k += 1
-        self._levels = levels
-
-    def argmin(self, lo: int, hi: int) -> int:
-        k = (hi - lo + 1).bit_length() - 1
-        lvl = self._levels[k]
-        a, b = int(lvl[lo]), int(lvl[hi - (1 << k) + 1])
-        return a if self._vals[a] <= self._vals[b] else b
-
-
 def _report_from_intervals(
     verified: dict[int, list[tuple[int, int]]], lpf: np.ndarray
 ) -> list[tuple[int, int]]:
     """Positions whose previous-factor length is shorter than the square:
-    recursive range-minimum splitting, one report per fresh occurrence."""
-    table = _ArgMinTable(lpf)
+    recursive range-minimum splitting, one report per fresh occurrence.
+
+    One sparse table over the packed keys lpf[i]·m + i (m = len(lpf))
+    gives a range's smallest LPF and its leftmost position at once, and
+    lpf[i] < 2l exactly when the key is below 2l·m.  One batch query drops
+    every piece whose minimum is not below that; only the rest split.
+    """
+    pieces = [piece for ps in verified.values() for piece in ps]
+    if not pieces:
+        return []
+    m = len(lpf)
+    table = _MinTable(np.asarray(lpf, dtype=np.int64) * m + np.arange(m))
+    limit = np.repeat(np.fromiter(verified, dtype=np.int64), [len(ps) for ps in verified.values()])
+    limit *= 2 * m
+    lo, hi = np.array(pieces, dtype=np.int64).T
     out: list[tuple[int, int]] = []
-    for ell, pieces in verified.items():
-        length = 2 * ell
-        for lo, hi in pieces:
-            stack = [(lo, hi)]
-            while stack:
-                a, b = stack.pop()
-                if a > b:
-                    continue
-                i = table.argmin(a, b)
-                if lpf[i] >= length:
-                    continue
-                out.append((i, length))
-                stack.append((a, i - 1))
-                stack.append((i + 1, b))
+    for k in (table.query_batch(lo, hi) < limit).nonzero()[0].tolist():
+        bound = limit.item(k)
+        length = bound // m
+        stack = [pieces[k]]
+        while stack:
+            a, b = stack.pop()
+            if a > b:
+                continue
+            key = table.query(a, b)
+            if key >= bound:
+                continue
+            i = key % m
+            out.append((i, length))
+            stack.append((a, i - 1))
+            stack.append((i + 1, b))
     out.sort(key=lambda oc: (oc[1], oc[0]))
     return out
 

@@ -118,9 +118,12 @@ def test_verify_passes_and_deterministic():
 
 
 def test_verify_cap_exceeded():
-    code, _, err = run_cli(["verify", "--max-n", "500", "--cap", "200"])
-    assert code == 2
-    assert "cap" in err
+    # rejected before any trial runs: nothing on stdout
+    for max_n in ("500", "201"):
+        code, out, err = run_cli(["verify", "--max-n", max_n])
+        assert code == 2
+        assert "cap" in err
+        assert out == ""
 
 
 def test_bounds_deterministic_and_ratios():

@@ -24,10 +24,10 @@ from genreps.text import parse_text, text_from_symbols
 
 def test_nonextendible_examples():
     aa = ScerIndex(parse_text(b"aa"), "exact")
-    assert right_nonextendible(aa) == [(1, 1)]
+    assert right_nonextendible(aa).tolist() == [[1, 1]]
     aaa = ScerIndex(parse_text(b"aaa"), "exact")
     # the square at 1 with p=1 is right extendible (lcp 2 != 1)
-    assert (1, 1) not in right_nonextendible(aaa)
+    assert [1, 1] not in right_nonextendible(aaa).tolist()
 
 
 def test_nonextendible_random_vs_lcp_definition():
@@ -43,7 +43,10 @@ def test_nonextendible_random_vs_lcp_definition():
         for rel in RELATIONS:
             fwd = ScerIndex(t, rel)
             for idx in (fwd, reversed_index(fwd)):
-                got = set(right_nonextendible(idx))
+                pairs = [tuple(row) for row in right_nonextendible(idx).tolist()]
+                got = set(pairs)
+                # rows sorted by (i, p), each pair once
+                assert pairs == sorted(got), (idx.relation, t.symbols)
                 want = set()
                 for i in range(1, t.n + 1):
                     for p in range(1, (t.n - i + 1) // 2 + 1):
@@ -79,7 +82,7 @@ def test_nonextendible_probe_chunks_within_budget(monkeypatch, budget):
     rng = random.Random(budget)
     for t in [random_text(rng, 120, 2), text_from_symbols([0] * 80), text_from_symbols(fibonacci(89))]:
         idx = ScerIndex(t, "param")
-        want = right_nonextendible(idx)
+        want = right_nonextendible(idx).tolist()
         ranges = counting._probe_ranges(idx)
         a, b = ranges[2], ranges[3]
         cells = [(c, x) for c in range(len(a)) for x in range(a[c], b[c])]
@@ -87,7 +90,7 @@ def test_nonextendible_probe_chunks_within_budget(monkeypatch, budget):
         chunks = list(counting._probe_chunks(ranges))
         assert all(len(child) == len(pos) <= budget for child, pos in chunks)
         assert [(int(c), int(x)) for child, pos in chunks for c, x in zip(child, pos)] == cells
-        assert right_nonextendible(idx) == want
+        assert right_nonextendible(idx).tolist() == want
         monkeypatch.undo()
 
 
@@ -95,7 +98,7 @@ def test_nonshiftable_unary():
     from genreps.counting import nonshiftable_sets
 
     idx = ScerIndex(parse_text(b"aaaa"), "exact")
-    assert set(right_nonshiftable(idx)) == {(1, 2), (3, 1)}
+    assert right_nonshiftable(idx).tolist() == [[1, 2], [3, 1]]
     sets = nonshiftable_sets(idx)
     assert sets[1] == ([1], [3])  # L_1 = {1}, R_1 = {3}
     table = squares_table(idx)

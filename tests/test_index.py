@@ -8,8 +8,16 @@ import pytest
 from conftest import fibonacci, random_text
 from genreps import index, oracle
 from genreps.encodings import RELATIONS, make_encoder
-from genreps.index import ScerIndex, _lcp_from_rows, _sort_rows, lpf_arrays
+from genreps.index import ScerIndex, _lcp_from_rows, _sort_rows
 from genreps.text import parse_text, text_from_symbols
+
+
+def _assert_array_form(idx):
+    """order, rank and lcp are int32 arrays, and rank inverts order."""
+    for arr in (idx.order, idx.rank, idx.lcp):
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.int32
+    assert len(idx.order) == len(idx.lcp) == idx.n + 1
+    assert (idx.rank[idx.order] == np.arange(idx.n + 1)).all()
 
 
 def test_exact_index_is_suffix_array():
@@ -18,6 +26,14 @@ def test_exact_index_is_suffix_array():
     # sentinel suffix first, then by plain suffix order
     assert list(idx.order) == [4, 3, 2, 1]
     assert list(idx.lcp) == [0, 0, 1, 2]
+    # the rows path (n <= 16) and prefix doubling plus Kasai above it
+    rng = random.Random(15)
+    for n in (16, 17, 300):
+        t = random_text(rng, n, 2)
+        idx = ScerIndex(t, "exact")
+        _assert_array_form(idx)
+        s = t.symbols
+        assert idx.order.tolist() == [n + 1, *sorted(range(1, n + 1), key=lambda i: s[i - 1 :])]
 
 
 def test_empty_text_index():
@@ -67,9 +83,7 @@ def test_lcp_suffixes_all_pairs_small():
 
 def test_lpf_examples():
     t = parse_text(b"aaaa")
-    arrs = lpf_arrays(ScerIndex(t, "exact"))
-    assert list(arrs.approx[1:]) == [0, 3, 2, 1]
-    assert list(arrs.exact[1:]) == [0, 3, 2, 1]
+    assert list(ScerIndex(t, "exact").lpf()[1:]) == [0, 3, 2, 1]
 
 
 def test_lpf_first_position_zero():
@@ -202,6 +216,11 @@ def test_large_path_equals_materialized():
         order, lcp = _materialized(t, rel)
         assert list(idx.order) == order, rel
         assert list(idx.lcp) == lcp, rel
+        _assert_array_form(idx)
+    # both sides of the cut-off, for the block sort too
+    for n in (16, 17):
+        for rel in ("exact", "param", "op", "pal"):
+            _assert_array_form(ScerIndex(random_text(rng, n, 3), rel))
 
 
 def test_large_path_degenerate_texts():

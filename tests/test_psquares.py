@@ -139,8 +139,11 @@ def test_report_examples():
 
 def test_report_random_vs_oracle():
     rng = random.Random(6)
-    for _ in range(25):
-        t = random_text(rng, rng.randint(0, 150), rng.choice([2, 3, 4]))
+    texts = [random_text(rng, rng.randint(0, 150), rng.choice([2, 3, 4])) for _ in range(25)]
+    # texts where one verified piece holds many reports
+    texts += [text_from_symbols(fibonacci(n)) for n in (34, 89, 144)]
+    texts.append(text_from_symbols([bin(i).count("1") % 2 for i in range(128)]))  # Thue-Morse
+    for t in texts:
         got = report_nonequivalent(t).occurrences
         assert got == oracle.brute_nonequivalent_leftmost(t, "param")
         gotd = report_distinct(t).occurrences
