@@ -46,7 +46,7 @@ from .repeats import (
     mismatch_positions,
     uniform_k_runs,
 )
-from .text import Text, parse_text, prefix_counts, prev_array, text_from_symbols
+from .text import Text, parse_text, prev_array, text_from_symbols
 
 __version__ = "0.1.0"
 
@@ -77,7 +77,6 @@ __all__ = [
     "mismatch_positions",
     "parse_text",
     "partition_run",
-    "prefix_counts",
     "prev_array",
     "profiles",
     "report_distinct",

@@ -170,17 +170,22 @@ def cmd_count(args) -> int:
     cfg = _config(args)
     t = _read_text(cfg)
     rels = RELATIONS if cfg.relation == "all" else (cfg.relation,)
+    exact_index = None  # exact comes first in RELATIONS: one exact index per run
     for relation in rels:
         t0 = time.perf_counter()
         if t.n < 2:
             cnt, size, osc = 0, 0, 0
         else:
             index = ScerIndex(t, relation)
+            if relation == "exact":
+                exact_index = index
             table = counting.squares_table(index)
             lpf = index.lpf()
             osc = int(np.abs(np.diff(lpf[1:])).sum())
             if args.distinct:
-                cnt = counting.count_distinct(t, relation, index=index, table=table)
+                cnt = counting.count_distinct(
+                    t, relation, index=index, table=table, exact_index=exact_index
+                )
             else:
                 cnt = counting.count_nonequivalent(t, relation, index=index, table=table)
             size = table.size
@@ -273,6 +278,9 @@ def cmd_bounds(args) -> int:
     ns = [int(x) for x in args.n.split(",")]
     ks = [int(x) for x in args.k_list.split(",")]
     sigmas = [int(x) for x in args.sigma_list.split(",")]
+    for flag, values, least in (("--n", ns, 1), ("--k-list", ks, 0), ("--sigma-list", sigmas, 1)):
+        if min(values) < least:
+            raise ValueError(f"{flag} values must be >= {least}, got {min(values)}")
     print(",".join(_BOUNDS_COLS))
     jobs = [
         (n, k, sigma, trial, args.seed, metrics)

@@ -33,10 +33,6 @@ class Encoder:
         """Code of T[i..j], 1 <= i <= j <= n."""
         raise NotImplementedError
 
-    def code_row(self, i: int) -> list[int]:
-        """Codes of T[i..j] for all j in [i..n]."""
-        return [self.code(i, j) for j in range(i, self.text.n + 1)]
-
     def code_block(self, starts: np.ndarray, t0: int, depth: int) -> np.ndarray:
         """Code columns t0..t0+depth-1 of the suffixes at `starts`.
 
@@ -84,10 +80,6 @@ class _ClipEncoder(Encoder):
         a = self._anchor_list[j]
         return j - a if a >= i else 0
 
-    def code_row(self, i: int) -> list[int]:
-        anchor = self._anchor_list
-        return [j - anchor[j] if anchor[j] >= i else 0 for j in range(i, self.text.n + 1)]
-
     def code_block(self, starts: np.ndarray, t0: int, depth: int) -> np.ndarray:
         s, j, valid = _block_cells(starts, t0, depth, self.text.n)
         a = self.anchor[j]
@@ -100,9 +92,6 @@ class ExactEncoder(Encoder):
     def code(self, i: int, j: int) -> int:
         self._check(i, j)
         return self.text.padded[j]
-
-    def code_row(self, i: int) -> list[int]:
-        return self.text.padded[i:]
 
 
 class ParamEncoder(_ClipEncoder):
@@ -270,27 +259,6 @@ class OpEncoder(Encoder):
                 break
         return alpha * (j - i + 1) + beta
 
-    def code_row(self, i: int) -> list[int]:
-        # incremental per-start scan: track the last position of every value
-        s = self.text.padded
-        sigma = self.text.sigma
-        last = [0] * sigma
-        row = []
-        for j in range(i, self.text.n + 1):
-            v = s[j]
-            alpha = beta = 0
-            for x in range(v, -1, -1):
-                if last[x]:
-                    alpha = last[x] - i + 1
-                    break
-            for x in range(v, sigma):
-                if last[x]:
-                    beta = last[x] - i + 1
-                    break
-            row.append(alpha * (j - i + 1) + beta)
-            last[v] = j
-        return row
-
 
 class RecencyEncoder(Encoder):
     """Number of distinct symbols since the previous occurrence of T[j].
@@ -304,14 +272,10 @@ class RecencyEncoder(Encoder):
     def code(self, i: int, j: int) -> int:
         self._check(i, j)
         lo = max(int(self.text.prev[j]) + 1, i)
-        if lo >= j:
-            return 0
-        counts = self.text.counts.table
-        col_hi = counts[:, j - 1]
-        col_lo = counts[:, lo - 1]
-        return int(np.count_nonzero(col_hi > col_lo))
+        return len(set(self.text.padded[lo:j]))
 
     def code_row(self, i: int) -> list[int]:
+        """Codes of T[i..j] for all j in [i..n]."""
         s = self.text.padded
         sigma = self.text.sigma
         last = [0] * sigma
@@ -422,21 +386,6 @@ class PalEncoder(Encoder):
         if self._lists is None:
             self._lists = [[lvl.tolist() for lvl in levels] for levels in (self._odd, self._even)]
         return int(_suffix_palindrome(*self._lists, i, j))
-
-    def code_row(self, i: int) -> list[int]:
-        # the leftmost qualifying centre never moves left as j grows
-        odd, even = self._odd[0].tolist(), self._even[0].tolist()
-        row = []
-        c_odd = c_even = i
-        for j in range(i, self.text.n + 1):
-            c_odd = max(c_odd, (i + j + 1) // 2)
-            while odd[c_odd] < j:
-                c_odd += 1
-            c_even = max(c_even, (i + j) // 2)
-            while even[c_even] < j:
-                c_even += 1
-            row.append(max(2 * (j - c_odd) + 1, 2 * (j - c_even)))
-        return row
 
     def code_block(self, starts: np.ndarray, t0: int, depth: int) -> np.ndarray:
         s, j, valid = _block_cells(starts, t0, depth, self.text.n)

@@ -12,10 +12,10 @@ intervals of the counting pass and, over the suffix order, the
 longest-previous-factor array in one batched pass.  A weighted tree view
 of the compacted trie serves the tests.
 
-Construction is deterministic.  Tiny texts (n <= _TINY_N) materialize
-and sort the code rows outright.  Larger texts use prefix doubling plus
-the Kasai walk for exact matching, and one block sort for every
-other relation: a level-synchronous MSD radix sort that asks the encoder
+Construction is deterministic, and the relation alone picks the path at
+every text length, n = 0 included: prefix doubling plus the Kasai walk
+for exact matching, and for every other relation one block sort, a
+level-synchronous MSD radix sort that asks the encoder
 for blocks of code columns (`Encoder.code_block`) of all still-tied
 suffixes, lexsorts them within their tie groups, and writes each adjacent
 LCP where a tied pair first differs.  The Kasai carry is not used there,
@@ -30,10 +30,6 @@ import numpy as np
 from .encodings import Encoder, ExactEncoder, make_encoder
 from .text import Text
 
-# Texts up to this length sort materialized rows in pure Python: numpy's
-# per-call overhead outweighs the block sort on them, and the oracle sweeps
-# build hundreds of thousands of such indexes.
-_TINY_N = 16
 # Code columns read per suffix in the block sort's first round; the depth
 # doubles each round after that.
 _START_DEPTH = 24
@@ -113,33 +109,7 @@ class _MinTable:
         return np.minimum(nxt, last + 1, out=nxt)
 
 
-def _sort_rows(encoder: Encoder, n: int) -> tuple[list[int], list[list[int]]]:
-    """Materialize all suffix code rows and sort starts lexicographically.
-
-    Bare rows sort identically to end-marker-terminated rows: the marker is
-    below every code, and a shorter row compares accordingly.
-    """
-    rows: list[list[int]] = [[] for _ in range(n + 2)]
-    for i in range(1, n + 1):
-        rows[i] = encoder.code_row(i)
-    order = sorted(range(1, n + 2), key=rows.__getitem__)
-    return order, rows
-
-
-def _lcp_from_rows(order: list[int], rows: list[list[int]]) -> list[int]:
-    m = len(order)
-    lcp = [0] * m
-    for r in range(1, m):
-        a, b = rows[order[r - 1]], rows[order[r]]
-        limit = min(len(a), len(b))
-        h = 0
-        while h < limit and a[h] == b[h]:
-            h += 1
-        lcp[r] = h
-    return lcp
-
-
-def _order_exact_large(text: Text) -> np.ndarray:
+def _order_exact(text: Text) -> np.ndarray:
     """Suffix order by prefix doubling (numpy), sentinel suffix first."""
     n = text.n
     s = text.padded_np[1:]
@@ -231,11 +201,8 @@ class ScerIndex:
         self.relation = self.encoder.relation
         n = text.n
         self.n = n
-        if n <= _TINY_N:
-            order, rows = _sort_rows(self.encoder, n)
-            lcp = _lcp_from_rows(order, rows)
-        elif isinstance(self.encoder, ExactEncoder):
-            order = _order_exact_large(text)
+        if isinstance(self.encoder, ExactEncoder):
+            order = _order_exact(text)
             lcp = _kasai_exact(text.padded, order, n)
         else:
             order, lcp = _block_sort(self.encoder, n)
@@ -303,11 +270,6 @@ class ScerIndex:
         if self._tree is None:
             self._tree = TreeView(self)
         return self._tree
-
-    def dump_tsv(self) -> str:
-        order, lcp = self.order.tolist(), self.lcp.tolist()
-        lines = [f"{r}\t{order[r]}\t{lcp[r]}" for r in range(len(order))]
-        return "\n".join(lines) + "\n"
 
 
 class TreeView:

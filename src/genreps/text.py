@@ -54,28 +54,8 @@ class Text:
             last[c] = i
         return prev
 
-    @cached_property
-    def counts(self) -> "PrefixCounts":
-        n = self.n
-        table = np.zeros((self.sigma, n + 1), dtype=np.int32)
-        if n:
-            sym = self.padded_np[1:]
-            for c in range(self.sigma):
-                np.cumsum(sym == c, out=table[c, 1:])
-        return PrefixCounts(table)
-
     def reversed(self) -> "Text":
         return Text(tuple(reversed(self.symbols)), self.sigma, self.alphabet)
-
-
-@dataclass(frozen=True)
-class PrefixCounts:
-    """Per-symbol prefix occurrence counts: count(c, i) = |{j <= i : T[j] = c}|."""
-
-    table: np.ndarray  # shape (sigma, n+1)
-
-    def count(self, c: int, i: int) -> int:
-        return int(self.table[c, i])
 
 
 def text_from_symbols(values: Iterable[int]) -> Text:
@@ -111,10 +91,6 @@ def parse_text(raw: bytes, mode: str = "bytes") -> Text:
 def prev_array(t: Text) -> np.ndarray:
     """Last-occurrence positions; see Text.prev.  Index 0 is padding."""
     return t.prev
-
-
-def prefix_counts(t: Text) -> PrefixCounts:
-    return t.counts
 
 
 def substring(t: Text, i: int, j: int) -> tuple[int, ...]:

@@ -89,6 +89,33 @@ def test_count_all_relations():
     assert len(out.strip().split("\n")) == 5
 
 
+def test_count_all_distinct_builds_one_exact_index(tmp_path, monkeypatch, capsys):
+    """Every relation's distinct count reuses the exact relation's index,
+    with the same rows (apart from wall time) as one relation per run."""
+    from genreps import cli, index
+    from genreps.text import parse_text
+
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"abacabadabacabaab")
+    built = []
+    init = index.ScerIndex.__init__
+
+    def counted(self, text, relation="exact", encoder=None):
+        built.append((relation, text.symbols))
+        init(self, text, relation, encoder)
+
+    monkeypatch.setattr(index.ScerIndex, "__init__", counted)
+    assert cli.main(["count", str(path), "--relation", "all", "--distinct"]) == 0
+    forward = parse_text(path.read_bytes()).symbols
+    assert built.count(("exact", forward)) == 1
+    rows = [line.split("\t")[:4] for line in capsys.readouterr().out.splitlines()]
+    single = []
+    for relation in ("exact", "param", "op", "ct", "pal"):
+        assert cli.main(["count", str(path), "--relation", relation, "--distinct"]) == 0
+        single += [line.split("\t")[:4] for line in capsys.readouterr().out.splitlines()]
+    assert rows == single and len(rows) == 5
+
+
 def test_count_ints_mode():
     code, out, _ = run_cli(
         ["count", "-", "--ints", "--relation", "param"], data=b"1 3 2 2 4 3 4 4 1 2 3 2 3"
@@ -106,6 +133,21 @@ def test_missing_file_is_io_error():
 def test_usage_error():
     code, _, _ = run_cli(["count", "-", "--relation", "bogus"], data=b"")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--n", "0"), ("--n", "50,-3"), ("--sigma-list", "0"), ("--k-list", "-1")],
+)
+def test_bounds_rejects_out_of_range_values(flag, value, capsys):
+    """Rejected before the CSV header, with the flag named and no traceback."""
+    from genreps import cli
+
+    args = {"--n": "20", "--k-list": "1", "--sigma-list": "2", flag: value}
+    assert cli.main(["bounds", *(x for kv in args.items() for x in kv)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {flag} ")
 
 
 def test_verify_passes_and_deterministic():

@@ -217,7 +217,6 @@ def test_pal_code_and_block_match_oracle():
         rows = oracle.canonical_rows(t, "pal")
         for i in range(1, n + 1):
             assert [enc.code(i, j) for j in range(i, n + 1)] == rows[i]
-            assert enc.code_row(i) == rows[i]
         starts = np.arange(1, n + 2)
         for t0, depth in ((0, n + 1), (3, 5), (n // 2, 9)):
             block = enc.code_block(starts, t0, depth).tolist()

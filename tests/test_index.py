@@ -8,7 +8,7 @@ import pytest
 from conftest import fibonacci, random_text
 from genreps import index, oracle
 from genreps.encodings import RELATIONS, make_encoder
-from genreps.index import ScerIndex, _lcp_from_rows, _sort_rows
+from genreps.index import ScerIndex
 from genreps.text import parse_text, text_from_symbols
 
 
@@ -26,7 +26,6 @@ def test_exact_index_is_suffix_array():
     # sentinel suffix first, then by plain suffix order
     assert list(idx.order) == [4, 3, 2, 1]
     assert list(idx.lcp) == [0, 0, 1, 2]
-    # the rows path (n <= 16) and prefix doubling plus Kasai above it
     rng = random.Random(15)
     for n in (16, 17, 300):
         t = random_text(rng, n, 2)
@@ -200,27 +199,41 @@ def test_order_invariant_under_alphabet_bijection():
         assert list(a.lcp) == list(b.lcp)
 
 
-def _materialized(t, rel):
-    order, rows = _sort_rows(make_encoder(t, rel), t.n)
-    return order, _lcp_from_rows(order, rows)
+def _reference(t, rel):
+    """Order and adjacent LCPs from sorting the materialized code rows.
+
+    The rows come from `oracle.canonical_rows` for the five relations and
+    from per-cell `Encoder.code` for ct_suffix and recency, so neither
+    depends on the block sort.  Bare rows sort like rows ending in the
+    end-marker, which lies below every code.
+    """
+    n = t.n
+    if rel in RELATIONS:
+        rows = oracle.canonical_rows(t, rel)
+    else:
+        enc = make_encoder(t, rel)
+        rows = [[]] + [[enc.code(i, j) for j in range(i, n + 1)] for i in range(1, n + 2)]
+    order = sorted(range(1, n + 2), key=rows.__getitem__)
+    lcp = [0] + [oracle.brute_lcp(rows, a, b) for a, b in zip(order, order[1:])]
+    return order, lcp
 
 
-def test_large_path_equals_materialized():
-    """Above the tiny-text cut-off, prefix doubling (exact) and the block
-    sort (every other relation) must agree with the materialized rows."""
+def test_index_equals_reference():
+    """Prefix doubling (exact) and the block sort (every other relation)
+    agree with the sorted code rows on longer texts and at every n up to 20."""
     rng = random.Random(16)
-    for rel in ("exact", "param", "ct", "ct_suffix", "op", "pal", "recency"):
-        n = rng.randint(280, 420)
-        t = random_text(rng, n, rng.choice([2, 3, 4]))
+    rels = ("exact", "param", "ct", "ct_suffix", "op", "pal", "recency")
+    cases = [(random_text(rng, rng.randint(280, 420), rng.choice([2, 3, 4])), rel) for rel in rels]
+    for n in range(21):
+        for _ in range(3):
+            t = random_text(rng, n, rng.choice([1, 2, 3, 4]))
+            cases += [(t, rel) for rel in rels]
+    for t, rel in cases:
         idx = ScerIndex(t, rel)
-        order, lcp = _materialized(t, rel)
-        assert list(idx.order) == order, rel
-        assert list(idx.lcp) == lcp, rel
+        order, lcp = _reference(t, rel)
+        assert list(idx.order) == order, (rel, t.symbols)
+        assert list(idx.lcp) == lcp, (rel, t.symbols)
         _assert_array_form(idx)
-    # both sides of the cut-off, for the block sort too
-    for n in (16, 17):
-        for rel in ("exact", "param", "op", "pal"):
-            _assert_array_form(ScerIndex(random_text(rng, n, 3), rel))
 
 
 def test_large_path_degenerate_texts():
@@ -228,7 +241,7 @@ def test_large_path_degenerate_texts():
         t = text_from_symbols(syms)
         for rel in ("exact", "param", "ct", "ct_suffix", "op", "pal"):
             idx = ScerIndex(t, rel)
-            order, lcp = _materialized(t, rel)
+            order, lcp = _reference(t, rel)
             assert list(idx.order) == order, rel
             assert list(idx.lcp) == lcp, rel
 
@@ -236,7 +249,6 @@ def test_large_path_degenerate_texts():
 def test_block_sort_narrow_rounds(monkeypatch):
     """One column per round and a budget far below the tied rows: many
     rounds, many tie groups per round, on every non-exact relation."""
-    monkeypatch.setattr(index, "_TINY_N", 0)
     monkeypatch.setattr(index, "_START_DEPTH", 1)
     monkeypatch.setattr(index, "_ROUND_CELLS", 16)
     rng = random.Random(20)
@@ -244,7 +256,7 @@ def test_block_sort_narrow_rounds(monkeypatch):
         t = random_text(rng, rng.randint(0, 70), rng.choice([1, 2, 3, 4]))
         for rel in ("param", "op", "ct", "ct_suffix", "pal", "recency"):
             idx = ScerIndex(t, rel)
-            order, lcp = _materialized(t, rel)
+            order, lcp = _reference(t, rel)
             assert list(idx.order) == order, (rel, t.symbols)
             assert list(idx.lcp) == lcp, (rel, t.symbols)
 
@@ -290,13 +302,13 @@ def test_block_sort_work_bound(name, rel):
     assert sum(m * d for m, _, d in calls) <= 2 * sum(idx.lcp) + start * (t.n + 1)
 
 
-def test_tiny_op_index_builds_no_wavelet_matrix():
-    """Tiny op indexes sort code rows, so the block's wavelet matrix stays unbuilt."""
-    rng = random.Random(23)
-    for n in range(index._TINY_N + 1):
-        idx = ScerIndex(random_text(rng, n, 4), "op")
-        assert idx.encoder._wavelet is None
-    idx = ScerIndex(random_text(rng, index._TINY_N + 40, 4), "op")
+def test_op_index_builds_wavelet_matrix_lazily():
+    """On a unary text every op cell takes the previous-occurrence path,
+    so no wavelet matrix is built; a random text needs one."""
+    for n in (*range(21), 300):
+        idx = ScerIndex(text_from_symbols([0] * n), "op")
+        assert idx.encoder._wavelet is None, n
+    idx = ScerIndex(random_text(random.Random(23), 40, 4), "op")
     assert idx.encoder._wavelet is not None
 
 
@@ -314,15 +326,6 @@ def test_quasi_suffix_condition_holds():
                     l = oracle.brute_lcp(rows, i, j)
                     if l > 0:
                         assert oracle.brute_lcp(rows, i + 1, j + 1) >= l - 1
-
-
-def test_dump_tsv_format():
-    t = parse_text(b"abab")
-    idx = ScerIndex(t, "exact")
-    lines = idx.dump_tsv().strip().split("\n")
-    assert len(lines) == t.n + 1
-    r, start, lcp = lines[0].split("\t")
-    assert (r, start, lcp) == ("0", "5", "0")
 
 
 def test_out_of_range_lcp_query():

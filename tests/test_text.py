@@ -1,9 +1,8 @@
 import random
 
-import numpy as np
 import pytest
 
-from genreps.text import parse_text, prefix_counts, prev_array, text_from_symbols
+from genreps.text import parse_text, prev_array, text_from_symbols
 
 
 def test_parse_bytes_dense_remap():
@@ -46,38 +45,16 @@ def test_prev_array_constant_and_distinct():
     assert list(prev_array(text_from_symbols([4, 7, 1, 9]))[1:]) == [0, 0, 0, 0]
 
 
-def test_prefix_counts_example():
-    t = parse_text(b"aba")
-    pc = prefix_counts(t)
-    assert list(pc.table[0][1:]) == [1, 1, 2]
-    assert list(pc.table[1][1:]) == [0, 1, 1]
-
-
-def test_prefix_counts_empty():
-    pc = prefix_counts(parse_text(b""))
-    assert pc.table.shape == (0, 1)
-
-
-def test_prefix_counts_random_vs_naive():
-    rng = random.Random(7)
-    t = text_from_symbols([rng.randrange(4) for _ in range(50)])
-    pc = prefix_counts(t)
-    for c in range(t.sigma):
-        for i in range(t.n + 1):
-            assert pc.count(c, i) == sum(1 for x in t.symbols[:i] if x == c)
-
-
 def test_prev_counts_invariants():
+    """prev[i] is the last earlier position holding T[i], 0 if none."""
     rng = random.Random(3)
     for _ in range(20):
         n = rng.randint(0, 60)
         t = text_from_symbols([rng.randrange(3) for _ in range(n)])
         prev = prev_array(t)
-        pc = prefix_counts(t)
         s = t.padded
         for i in range(1, n + 1):
-            assert (prev[i] == 0) == (pc.count(s[i], i - 1) == 0)
-            for c in range(t.sigma):
-                assert pc.count(c, i) == pc.count(c, i - 1) + (1 if s[i] == c else 0)
-        if n:
-            assert sum(pc.count(c, n) for c in range(t.sigma)) == n
+            p = int(prev[i])
+            assert 0 <= p < i
+            assert p == 0 or s[p] == s[i]
+            assert s[i] not in s[p + 1 : i]
