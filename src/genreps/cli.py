@@ -12,13 +12,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage or I/O error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -27,18 +27,6 @@ from . import counting, oracle, psquares, repeats
 from .encodings import RELATIONS, ParamEncoder
 from .index import ScerIndex
 from .text import Text, parse_text, text_from_symbols
-
-
-@dataclass
-class RunConfig:
-    """Flags shared by the analysis subcommands."""
-
-    path: str = "-"
-    mode: str = "bytes"
-    relation: str = "param"
-    k: int = 0
-    periods: object = None
-    fmt: str = "tsv"
 
 
 def _default_threads() -> int:
@@ -57,27 +45,20 @@ def _parse_periods(spec: str | None):
     return int(spec)
 
 
-def _config(args) -> RunConfig:
-    cfg = RunConfig(
-        path=args.input,
-        mode="ints" if getattr(args, "ints", False) else "bytes",
-        relation=getattr(args, "relation", "param"),
-        k=getattr(args, "k", 0),
-        periods=_parse_periods(getattr(args, "period", None)),
-        fmt=getattr(args, "fmt", "tsv"),
-    )
-    if cfg.k < 0:
-        raise ValueError("k must be >= 0")
-    return cfg
+def _check_ranges(*checks) -> None:
+    """Usage error naming the first (flag, values, least) with a value below least."""
+    for flag, values, least in checks:
+        if min(values) < least:
+            raise ValueError(f"{flag} must be >= {least}, got {min(values)}")
 
 
-def _read_text(cfg: RunConfig) -> Text:
-    if cfg.path == "-":
+def _read_text(args) -> Text:
+    if args.input == "-":
         data = sys.stdin.buffer.read()
     else:
-        with open(cfg.path, "rb") as fh:
+        with open(args.input, "rb") as fh:
             data = fh.read()
-    return parse_text(data, cfg.mode)
+    return parse_text(data, "ints" if args.ints else "bytes")
 
 
 def _emit(out, fmt: str, kind: str, rows) -> None:
@@ -103,22 +84,22 @@ def _add_common(sub, periods=True):
 
 
 def cmd_kruns(args) -> int:
-    cfg = _config(args)
-    t = _read_text(cfg)
-    recs = repeats.k_runs(t, cfg.k, cfg.periods)
+    _check_ranges(("-k", [args.k], 0))
+    t = _read_text(args)
+    recs = repeats.k_runs(t, args.k, _parse_periods(args.period))
     recs.sort(key=lambda r: (r.ell, r.a))
-    _emit(sys.stdout, cfg.fmt, "krun", [(r.a, r.b, r.ell, r.k, "k") for r in recs])
+    _emit(sys.stdout, args.fmt, "krun", [(r.a, r.b, r.ell, r.k, "k") for r in recs])
     return 0
 
 
 def cmd_uniform(args) -> int:
-    cfg = _config(args)
-    t = _read_text(cfg)
-    recs = repeats.uniform_k_runs(t, cfg.k, cfg.periods)
+    _check_ranges(("-k", [args.k], 0))
+    t = _read_text(args)
+    recs = repeats.uniform_k_runs(t, args.k, _parse_periods(args.period))
     recs.sort(key=lambda r: (r.ell, r.a))
     _emit(
         sys.stdout,
-        cfg.fmt,
+        args.fmt,
         "uniform",
         [(r.a, r.b, r.ell, len(r.mismatches), "mismatches") for r in recs],
     )
@@ -126,40 +107,40 @@ def cmd_uniform(args) -> int:
 
 
 def cmd_mgr(args) -> int:
-    cfg = _config(args)
-    t = _read_text(cfg)
+    t = _read_text(args)
     alpha = Fraction(args.alpha) if args.alpha else None
-    recs = repeats.mgrs(t, alpha, cfg.periods)
+    recs = repeats.mgrs(t, alpha, _parse_periods(args.period))
     recs.sort(key=lambda r: (r.ell, r.x))
-    _emit(sys.stdout, cfg.fmt, "mgr", [(r.x, r.y, r.ell, r.arm_len, "arm_len") for r in recs])
+    _emit(sys.stdout, args.fmt, "mgr", [(r.x, r.y, r.ell, r.arm_len, "arm_len") for r in recs])
     return 0
 
 
 def cmd_gruns(args) -> int:
-    cfg = _config(args)
-    t = _read_text(cfg)
-    recs = repeats.generalised_runs(t, cfg.periods)
+    t = _read_text(args)
+    recs = repeats.generalised_runs(t, _parse_periods(args.period))
     recs.sort(key=lambda r: (r.p, r.x))
-    _emit(sys.stdout, cfg.fmt, "grun", [(r.x, r.y, r.p, 0) for r in recs])
+    _emit(sys.stdout, args.fmt, "grun", [(r.x, r.y, r.p, 0) for r in recs])
     return 0
 
 
 def cmd_psquares(args) -> int:
-    cfg = _config(args)
-    t = _read_text(cfg)
+    t = _read_text(args)
     if args.mode == "classes":
         report = psquares.report_nonequivalent(t)
         enc = ParamEncoder(t) if t.n else None
-        for start, length in report.occurrences:
-            canon = [enc.code(start, j) for j in range(start, start + length // 2)]
-            if cfg.fmt == "tsv":
-                print(f"{start}\t{length}\t{','.join(map(str, canon))}")
-            else:
-                print(json.dumps({"v": 1, "start": start, "length": length, "canon": canon}))
+        # occurrences come sorted by length: one code block per length
+        for length, occs in itertools.groupby(report.occurrences, key=lambda oc: oc[1]):
+            starts = [start for start, _ in occs]
+            block = enc.code_block(np.array(starts), 0, length // 2).tolist()
+            for start, canon in zip(starts, block):
+                if args.fmt == "tsv":
+                    print(f"{start}\t{length}\t{','.join(map(str, canon))}")
+                else:
+                    print(json.dumps({"v": 1, "start": start, "length": length, "canon": canon}))
     else:
         report = psquares.report_distinct(t)
         for start, length in report.occurrences:
-            if cfg.fmt == "tsv":
+            if args.fmt == "tsv":
                 print(f"{start}\t{length}")
             else:
                 print(json.dumps({"v": 1, "start": start, "length": length}))
@@ -167,9 +148,8 @@ def cmd_psquares(args) -> int:
 
 
 def cmd_count(args) -> int:
-    cfg = _config(args)
-    t = _read_text(cfg)
-    rels = RELATIONS if cfg.relation == "all" else (cfg.relation,)
+    t = _read_text(args)
+    rels = RELATIONS if args.relation == "all" else (args.relation,)
     exact_index = None  # exact comes first in RELATIONS: one exact index per run
     for relation in rels:
         t0 = time.perf_counter()
@@ -190,7 +170,7 @@ def cmd_count(args) -> int:
                 cnt = counting.count_nonequivalent(t, relation, index=index, table=table)
             size = table.size
         wall = time.perf_counter() - t0
-        if cfg.fmt == "tsv":
+        if args.fmt == "tsv":
             print(f"{relation}\t{cnt}\t{size}\t{osc}\t{wall:.3f}")
         else:
             print(
@@ -278,9 +258,12 @@ def cmd_bounds(args) -> int:
     ns = [int(x) for x in args.n.split(",")]
     ks = [int(x) for x in args.k_list.split(",")]
     sigmas = [int(x) for x in args.sigma_list.split(",")]
-    for flag, values, least in (("--n", ns, 1), ("--k-list", ks, 0), ("--sigma-list", sigmas, 1)):
-        if min(values) < least:
-            raise ValueError(f"{flag} values must be >= {least}, got {min(values)}")
+    _check_ranges(
+        ("--n", ns, 1),
+        ("--k-list", ks, 0),
+        ("--sigma-list", sigmas, 1),
+        ("--trials", [args.trials], 1),
+    )
     print(",".join(_BOUNDS_COLS))
     jobs = [
         (n, k, sigma, trial, args.seed, metrics)
@@ -310,6 +293,12 @@ def cmd_verify(args) -> int:
         return 2
     sigmas = [int(x) for x in args.sigma_list.split(",")]
     ks = [int(x) for x in args.k_list.split(",")]
+    _check_ranges(
+        ("--trials", [args.trials], 1),
+        ("--max-n", [args.max_n], 0),
+        ("--sigma-list", sigmas, 1),
+        ("--k-list", ks, 0),
+    )
     jobs = [(trial, args.seed, args.max_n, sigmas, ks) for trial in range(args.trials)]
     results = _starmap(_verify_trial, jobs, args.threads)
     failures = [msg for msgs in results for msg in msgs]

@@ -5,6 +5,10 @@ equal-length substrings are equivalent under the relation iff all their
 prefix codes agree.  Codes are always >= 0, so -1 can serve as an
 end-marker strictly below every code.
 
+Each encoder computes its codes in one place, the vectorized
+`code_block(starts, t0, depth)`, which returns a block of prefix codes
+for many suffixes at once; `Encoder.code(i, j)` is a single cell of it.
+
 Relations: "exact" (equality), "param" (parameterized matching, i.e. a
 bijection between alphabets), "op" (order-preserving), "ct" (equal
 Cartesian-tree shapes), "pal" (equal palindromic-substring structure).
@@ -29,28 +33,19 @@ class Encoder:
     def __init__(self, text: Text):
         self.text = text
 
-    def code(self, i: int, j: int) -> int:
-        """Code of T[i..j], 1 <= i <= j <= n."""
-        raise NotImplementedError
-
     def code_block(self, starts: np.ndarray, t0: int, depth: int) -> np.ndarray:
         """Code columns t0..t0+depth-1 of the suffixes at `starts`.
 
         out[r, c] is the code of T[s..s+t0+c] for s = starts[r], or -1 once
-        s+t0+c runs past n.  This default calls `code` once per cell.
+        s+t0+c runs past n.
         """
-        n = self.text.n
-        code = self.code
-        out = np.full((len(starts), depth), -1, dtype=np.int64)
-        for r, s in enumerate(starts.tolist()):
-            hi = min(s + t0 + depth, n + 1)
-            if s + t0 < hi:
-                out[r, : hi - s - t0] = [code(s, j) for j in range(s + t0, hi)]
-        return out
+        raise NotImplementedError
 
-    def _check(self, i: int, j: int) -> None:
+    def code(self, i: int, j: int) -> int:
+        """Code of T[i..j], 1 <= i <= j <= n: one cell of `code_block`."""
         if not (1 <= i <= j <= self.text.n):
             raise ValueError(f"positions [{i}..{j}] out of range for n={self.text.n}")
+        return int(self.code_block(np.array([i]), j - i, 1)[0, 0])
 
 
 def _block_cells(starts: np.ndarray, t0: int, depth: int, n: int):
@@ -73,12 +68,6 @@ class _ClipEncoder(Encoder):
     def __init__(self, text: Text, anchor: np.ndarray):
         super().__init__(text)
         self.anchor = anchor
-        self._anchor_list = anchor.tolist()
-
-    def code(self, i: int, j: int) -> int:
-        self._check(i, j)
-        a = self._anchor_list[j]
-        return j - a if a >= i else 0
 
     def code_block(self, starts: np.ndarray, t0: int, depth: int) -> np.ndarray:
         s, j, valid = _block_cells(starts, t0, depth, self.text.n)
@@ -89,9 +78,9 @@ class _ClipEncoder(Encoder):
 class ExactEncoder(Encoder):
     relation = "exact"
 
-    def code(self, i: int, j: int) -> int:
-        self._check(i, j)
-        return self.text.padded[j]
+    def code_block(self, starts: np.ndarray, t0: int, depth: int) -> np.ndarray:
+        s, j, valid = _block_cells(starts, t0, depth, self.text.n)
+        return np.where(valid, self.text.padded_np[j], -1)
 
 
 class ParamEncoder(_ClipEncoder):
@@ -241,24 +230,6 @@ class OpEncoder(Encoder):
         out[rest] = alpha * (j - s + 1) + beta
         return out
 
-    def code(self, i: int, j: int) -> int:
-        self._check(i, j)
-        s = self.text.padded
-        v = s[j]
-        alpha = beta = 0
-        best_le = best_ge = -1
-        for m in range(j - 1, i - 1, -1):
-            x = s[m]
-            if x <= v and (best_le == -1 or x > best_le):
-                best_le = x
-                alpha = m - i + 1
-            if x >= v and (best_ge == -1 or x < best_ge):
-                best_ge = x
-                beta = m - i + 1
-            if best_le == v and best_ge == v:
-                break
-        return alpha * (j - i + 1) + beta
-
 
 class RecencyEncoder(Encoder):
     """Number of distinct symbols since the previous occurrence of T[j].
@@ -269,23 +240,20 @@ class RecencyEncoder(Encoder):
 
     relation = "recency"
 
-    def code(self, i: int, j: int) -> int:
-        self._check(i, j)
-        lo = max(int(self.text.prev[j]) + 1, i)
-        return len(set(self.text.padded[lo:j]))
-
-    def code_row(self, i: int) -> list[int]:
-        """Codes of T[i..j] for all j in [i..n]."""
-        s = self.text.padded
-        sigma = self.text.sigma
-        last = [0] * sigma
-        row = []
-        for j in range(i, self.text.n + 1):
-            c = s[j]
-            p = last[c]
-            row.append(sum(1 for x in last if x > p))
-            last[c] = j
-        return row
+    def code_block(self, starts: np.ndarray, t0: int, depth: int) -> np.ndarray:
+        # with lo = max(prev[j] + 1, s), count the symbols whose last
+        # occurrence before j is at or after lo: one pass per symbol
+        text = self.text
+        s, j, valid = _block_cells(starts, t0, depth, text.n)
+        lo = np.maximum(text.prev[j] + 1, s)
+        before = j - 1
+        sym = text.padded_np
+        pos = np.arange(text.n + 1)
+        out = np.zeros(j.shape, dtype=np.int64)
+        for c in range(text.sigma):
+            last = np.maximum.accumulate(np.where(sym == c, pos, 0))
+            out += last[before] >= lo
+        return np.where(valid, out, -1)
 
 
 @dataclass(frozen=True)
@@ -346,9 +314,8 @@ def _reach_levels(reach: np.ndarray) -> list[np.ndarray]:
 
 
 def _leftmost_reaching(levels, lo, j):
-    """Leftmost centre c >= lo with reach[c] >= j, by binary lifting over
-    `_reach_levels`; works on scalars with list levels and elementwise on
-    arrays with array levels."""
+    """Leftmost centre c >= lo with reach[c] >= j, elementwise, by binary
+    lifting over `_reach_levels`."""
     c = lo
     for k in range(len(levels) - 1, -1, -1):
         c = c + ((levels[k][c] < j) << k)
@@ -366,9 +333,8 @@ class PalEncoder(Encoder):
 
     The longest palindrome suffix of T[i..j] has the leftmost centre c
     whose maximal palindrome reaches j (c + radius >= j) among the centres
-    whose palindrome ending at j starts at or after i.  Codes and code
-    blocks find that centre by a descent over sparse tables of the
-    Manacher reaches.
+    whose palindrome ending at j starts at or after i.  Code blocks find
+    that centre by a descent over sparse tables of the Manacher reaches.
     """
 
     relation = "pal"
@@ -379,13 +345,6 @@ class PalEncoder(Encoder):
         c = np.arange(text.n + 1)
         self._odd = _reach_levels(c + radii.odd)
         self._even = _reach_levels(c + radii.even)
-        self._lists = None
-
-    def code(self, i: int, j: int) -> int:
-        self._check(i, j)
-        if self._lists is None:
-            self._lists = [[lvl.tolist() for lvl in levels] for levels in (self._odd, self._even)]
-        return int(_suffix_palindrome(*self._lists, i, j))
 
     def code_block(self, starts: np.ndarray, t0: int, depth: int) -> np.ndarray:
         s, j, valid = _block_cells(starts, t0, depth, self.text.n)
@@ -423,13 +382,17 @@ def make_encoder(text: Text, relation: str) -> Encoder:
 
 
 def scer_match(enc: Encoder, i1: int, j1: int, i2: int, j2: int) -> bool:
-    """Definitional equivalence check: equal lengths and equal prefix codes."""
+    """Definitional equivalence check: equal lengths and equal prefix codes.
+
+    Each window T[i..j] must lie in T[1..n] (j = i - 1 is the empty window).
+    """
+    for i, j in ((i1, j1), (i2, j2)):
+        if not (1 <= i <= j + 1 <= enc.text.n + 1):
+            raise ValueError(f"window [{i}..{j}] out of range for n={enc.text.n}")
     if j1 - i1 != j2 - i2:
         return False
-    for off in range(j1 - i1 + 1):
-        if enc.code(i1, i1 + off) != enc.code(i2, i2 + off):
-            return False
-    return True
+    a, b = enc.code_block(np.array([i1, i2]), 0, j1 - i1 + 1)
+    return bool((a == b).all())
 
 
 @dataclass(frozen=True)
@@ -445,7 +408,7 @@ class Profiles:
 
 
 def profiles(t: Text) -> Profiles:
-    fwd = RecencyEncoder(t).code_row(1)
-    bwd = RecencyEncoder(t.reversed()).code_row(1)[::-1]
+    fwd = RecencyEncoder(t).code_block(np.array([1]), 0, t.n)[0]
+    bwd = RecencyEncoder(t.reversed()).code_block(np.array([1]), 0, t.n)[0][::-1]
     # 1-based, with the same -1 pad as Text.padded
-    return Profiles(np.array([-1, *fwd], dtype=np.int64), np.array([-1, *bwd], dtype=np.int64))
+    return Profiles(np.append(-1, fwd), np.append(-1, bwd))

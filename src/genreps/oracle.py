@@ -173,13 +173,15 @@ def canonical_rows(t: Text, relation: str) -> list[list[int]]:
                 seen[v] = j
             rows[i] = row
         return rows
-    if relation == "ct":
+    if relation in ("ct", "ct_suffix"):
+        # distance to the nearest earlier symbol that is <= (ct) or < (ct_suffix)
+        strict = relation == "ct_suffix"
         for i in range(1, n + 1):
             row = []
             for j in range(i, n + 1):
                 d = 0
                 for m in range(j - 1, i - 1, -1):
-                    if s[m] <= s[j]:
+                    if s[m] < s[j] or (s[m] == s[j] and not strict):
                         d = j - m
                         break
                 row.append(d)

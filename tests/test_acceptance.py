@@ -6,6 +6,8 @@ count-bound criteria.
 """
 
 import itertools
+import multiprocessing
+import os
 import random
 import resource
 import subprocess
@@ -118,19 +120,45 @@ def test_criterion_3_square_classification(sq_text):
     print("criterion 3 PASS: X/Y/Z classified identically by matcher and table")
 
 
+EXHAUSTIVE_MAX_N = 10
+EXHAUSTIVE_SIGMA = 3
+
+
+def _verify_words(n: int, prefix: tuple[int, ...]) -> tuple[int, list[str]]:
+    """Verify every ternary word of length n that starts with prefix."""
+    failures = []
+    count = 0
+    for tail in itertools.product(range(EXHAUSTIVE_SIGMA), repeat=n - len(prefix)):
+        word = prefix + tail
+        failures += [f"{word}: {f}" for f in oracle.verify_text(text_from_symbols(word))]
+        count += 1
+    return count, failures
+
+
 def test_criterion_4_oracle_equivalence(corpus):
     t0 = time.perf_counter()
     failures = []
     for t, k in corpus:
         failures += oracle.verify_text(t, ks=(k,))
     n_random = len(corpus)
-    exhaustive = 0
-    for n in range(0, 11):
-        for word in itertools.product(range(3), repeat=n):
-            t = text_from_symbols(word)
-            failures += oracle.verify_text(t)
-            exhaustive += 1
+    # every ternary word with n <= 10, split by prefix into jobs of at most
+    # 3**6 words that run on one worker process per available CPU (at most 4)
+    jobs = [
+        (n, prefix)
+        for n in range(EXHAUSTIVE_MAX_N + 1)
+        for prefix in itertools.product(range(EXHAUSTIVE_SIGMA), repeat=max(0, n - 6))
+    ]
+    workers = min(4, len(os.sched_getaffinity(0)))
+    if workers > 1:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            done = pool.starmap(_verify_words, jobs, chunksize=1)
+    else:
+        done = [_verify_words(*job) for job in jobs]
+    exhaustive = sum(count for count, _ in done)
+    for _, fails in done:
+        failures += fails
     elapsed = time.perf_counter() - t0
+    assert exhaustive == sum(EXHAUSTIVE_SIGMA**n for n in range(EXHAUSTIVE_MAX_N + 1))
     assert not failures, failures[:10]
     print(
         f"criterion 4 PASS: {n_random} random + {exhaustive} exhaustive texts "

@@ -136,18 +136,35 @@ def test_usage_error():
 
 
 @pytest.mark.parametrize(
-    "flag, value",
-    [("--n", "0"), ("--n", "50,-3"), ("--sigma-list", "0"), ("--k-list", "-1")],
+    "command, flag, value",
+    [
+        ("bounds", "--n", "0"),
+        ("bounds", "--n", "50,-3"),
+        ("bounds", "--sigma-list", "0"),
+        ("bounds", "--k-list", "-1"),
+        ("bounds", "--trials", "-1"),
+        ("verify", "--trials", "-3"),
+        ("verify", "--max-n", "-5"),
+        ("verify", "--sigma-list", "0"),
+        ("verify", "--k-list", "-1"),
+    ],
 )
-def test_bounds_rejects_out_of_range_values(flag, value, capsys):
-    """Rejected before the CSV header, with the flag named and no traceback."""
+def test_rejects_out_of_range_values(command, flag, value, capsys):
+    """Rejected before any output, with the flag named and no traceback."""
     from genreps import cli
 
-    args = {"--n": "20", "--k-list": "1", "--sigma-list": "2", flag: value}
-    assert cli.main(["bounds", *(x for kv in args.items() for x in kv)]) == 2
+    assert cli.main([command, "--sigma-list", "2", "--k-list", "1", flag, value]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {flag} ")
+
+
+@pytest.mark.parametrize("command", ["kruns", "uniform"])
+def test_negative_k_rejected(command):
+    code, out, err = run_cli([command, "-", "-k", "-1"], data=b"abab")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: -k ")
 
 
 def test_verify_passes_and_deterministic():

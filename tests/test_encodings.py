@@ -7,7 +7,6 @@ from conftest import fibonacci, random_text
 from genreps import oracle
 from genreps.encodings import (
     RELATIONS,
-    Encoder,
     make_encoder,
     maximal_palindromes,
     profiles,
@@ -51,6 +50,16 @@ def test_code_out_of_range():
         enc.code(0, 2)
     with pytest.raises(ValueError):
         enc.code(2, 4)
+    # windows of "aab": [2..4] runs past n, though its second code already
+    # differs from that of [1..3]; [0..1] starts before 1
+    enc = make_encoder(parse_text(b"aab"), "param")
+    for windows in ((2, 4, 1, 3), (1, 3, 2, 4), (0, 1, 2, 3), (2, 3, 0, 1)):
+        with pytest.raises(ValueError):
+            scer_match(enc, *windows)
+    assert scer_match(enc, 2, 3, 1, 2) is False
+    assert scer_match(enc, 1, 1, 3, 3) is True
+    assert scer_match(enc, 1, 1, 2, 3) is False
+    assert scer_match(enc, 2, 1, 4, 3) is True  # the empty window
 
 
 def test_scer_match_square_classification(sq_text):
@@ -225,10 +234,12 @@ def test_pal_code_and_block_match_oracle():
                 assert got == want + [-1] * (depth - len(want))
 
 
-def test_op_code_block_matches_code():
-    """The vectorized op block equals the per-cell default over `code`.
+@pytest.mark.parametrize("relation", [*RELATIONS, "ct_suffix", "recency"])
+def test_code_block_matches_oracle(relation):
+    """Every encoder's code block equals the codes computed from the
+    definitions (`oracle.canonical_rows`, `oracle.brute_recency_code`).
 
-    Alphabets of 1, 2 and 4 symbols check that the wavelet matrix has a
+    Alphabets of 1, 2 and 4 symbols check that the op wavelet matrix has a
     level for the threshold v + 1 = sigma; periodic texts take the
     previous-occurrence path on almost every cell.
     """
@@ -242,9 +253,13 @@ def test_op_code_block_matches_code():
         texts.append(text_from_symbols(fibonacci(n)))
     for t in texts:
         n = t.n
-        enc = make_encoder(t, "op")
+        enc = make_encoder(t, relation)
         starts = np.array(sorted(rng.sample(range(1, n + 2), rng.randint(1, n + 1))))
+        if relation == "recency":
+            rows = {s: [oracle.brute_recency_code(t, s, j) for j in range(s, n + 1)] for s in starts.tolist()}
+        else:
+            rows = oracle.canonical_rows(t, relation)
         for t0, depth in ((0, n + 1), (rng.randint(0, n), rng.randint(1, n + 3))):
+            want = [(rows[s] + [-1] * (depth + t0))[t0 : t0 + depth] for s in starts.tolist()]
             got = enc.code_block(starts, t0, depth)
-            want = Encoder.code_block(enc, starts, t0, depth)
-            assert got.tolist() == want.tolist(), (t.symbols, starts.tolist(), t0, depth)
+            assert got.tolist() == want, (t.symbols, starts.tolist(), t0, depth)

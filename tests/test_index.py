@@ -202,17 +202,16 @@ def test_order_invariant_under_alphabet_bijection():
 def _reference(t, rel):
     """Order and adjacent LCPs from sorting the materialized code rows.
 
-    The rows come from `oracle.canonical_rows` for the five relations and
-    from per-cell `Encoder.code` for ct_suffix and recency, so neither
-    depends on the block sort.  Bare rows sort like rows ending in the
-    end-marker, which lies below every code.
+    The rows come from `oracle.canonical_rows`, and for recency from
+    `oracle.brute_recency_code`, so none depends on the encoders.  Bare
+    rows sort like rows ending in the end-marker, which lies below every
+    code.
     """
     n = t.n
-    if rel in RELATIONS:
-        rows = oracle.canonical_rows(t, rel)
+    if rel == "recency":
+        rows = [[]] + [[oracle.brute_recency_code(t, i, j) for j in range(i, n + 1)] for i in range(1, n + 2)]
     else:
-        enc = make_encoder(t, rel)
-        rows = [[]] + [[enc.code(i, j) for j in range(i, n + 1)] for i in range(1, n + 2)]
+        rows = oracle.canonical_rows(t, rel)
     order = sorted(range(1, n + 2), key=rows.__getitem__)
     lcp = [0] + [oracle.brute_lcp(rows, a, b) for a, b in zip(order, order[1:])]
     return order, lcp

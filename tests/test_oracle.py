@@ -42,7 +42,7 @@ def test_relation_hierarchy():
 
 def test_canonical_rows_agree_with_matchers():
     rng = random.Random(2)
-    for rel in ("exact", "param", "op", "ct", "pal"):
+    for rel in ("exact", "param", "op", "ct", "pal", "ct_suffix"):
         for _ in range(6):
             t = random_text(rng, rng.randint(2, 24), rng.choice([2, 3]))
             rows = oracle.canonical_rows(t, rel)
