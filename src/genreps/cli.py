@@ -37,12 +37,15 @@ def _default_threads() -> int:
 
 
 def _parse_periods(spec: str | None):
+    """None, the period P or the range LO:HI; a usage error unless 1 <= P, 1 <= LO <= HI."""
     if spec is None:
         return None
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        return range(int(lo), int(hi) + 1)
-    return int(spec)
+    try:
+        bounds = [int(x) for x in spec.split(":", 1)]
+    except ValueError:
+        raise ValueError(f"--period must be an integer P or a range LO:HI, got {spec!r}") from None
+    _check_ranges(("--period", bounds, 1), ("--period", bounds[-1:], bounds[0]))
+    return bounds[0] if len(bounds) == 1 else range(bounds[0], bounds[1] + 1)
 
 
 def _check_ranges(*checks) -> None:
@@ -85,8 +88,9 @@ def _add_common(sub, periods=True):
 
 def cmd_kruns(args) -> int:
     _check_ranges(("-k", [args.k], 0))
+    periods = _parse_periods(args.period)
     t = _read_text(args)
-    recs = repeats.k_runs(t, args.k, _parse_periods(args.period))
+    recs = repeats.k_runs(t, args.k, periods)
     recs.sort(key=lambda r: (r.ell, r.a))
     _emit(sys.stdout, args.fmt, "krun", [(r.a, r.b, r.ell, r.k, "k") for r in recs])
     return 0
@@ -94,8 +98,9 @@ def cmd_kruns(args) -> int:
 
 def cmd_uniform(args) -> int:
     _check_ranges(("-k", [args.k], 0))
+    periods = _parse_periods(args.period)
     t = _read_text(args)
-    recs = repeats.uniform_k_runs(t, args.k, _parse_periods(args.period))
+    recs = repeats.uniform_k_runs(t, args.k, periods)
     recs.sort(key=lambda r: (r.ell, r.a))
     _emit(
         sys.stdout,
@@ -107,17 +112,19 @@ def cmd_uniform(args) -> int:
 
 
 def cmd_mgr(args) -> int:
+    periods = _parse_periods(args.period)
     t = _read_text(args)
     alpha = Fraction(args.alpha) if args.alpha else None
-    recs = repeats.mgrs(t, alpha, _parse_periods(args.period))
+    recs = repeats.mgrs(t, alpha, periods)
     recs.sort(key=lambda r: (r.ell, r.x))
     _emit(sys.stdout, args.fmt, "mgr", [(r.x, r.y, r.ell, r.arm_len, "arm_len") for r in recs])
     return 0
 
 
 def cmd_gruns(args) -> int:
+    periods = _parse_periods(args.period)
     t = _read_text(args)
-    recs = repeats.generalised_runs(t, _parse_periods(args.period))
+    recs = repeats.generalised_runs(t, periods)
     recs.sort(key=lambda r: (r.p, r.x))
     _emit(sys.stdout, args.fmt, "grun", [(r.x, r.y, r.p, 0) for r in recs])
     return 0
@@ -263,6 +270,7 @@ def cmd_bounds(args) -> int:
         ("--k-list", ks, 0),
         ("--sigma-list", sigmas, 1),
         ("--trials", [args.trials], 1),
+        ("--threads", [args.threads], 1),
     )
     print(",".join(_BOUNDS_COLS))
     jobs = [
@@ -298,6 +306,7 @@ def cmd_verify(args) -> int:
         ("--max-n", [args.max_n], 0),
         ("--sigma-list", sigmas, 1),
         ("--k-list", ks, 0),
+        ("--threads", [args.threads], 1),
     )
     jobs = [(trial, args.seed, args.max_n, sigmas, ks) for trial in range(args.trials)]
     results = _starmap(_verify_trial, jobs, args.threads)

@@ -16,13 +16,13 @@ count, under equality for the distinct-as-strings count) is below the
 square's length, answered by a wavelet matrix over the LPF array.
 The squares pass from stage to stage as (m, 2) int64 arrays of (i, p)
 rows, and every stage reads the index's order, rank and LCP arrays as
-they are.
+they are.  A family of square start intervals, here and in
+`genreps.psquares`, is a dict from half-period to a (k, 2) int64 array
+of closed [lo, hi] rows sorted by lo.
 """
 
 from __future__ import annotations
 
-import itertools
-from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -158,18 +158,32 @@ def right_nonshiftable(index: ScerIndex, rne: np.ndarray | None = None) -> np.nd
     return rne[index.lcp_batch(i + 1, i + p + 1) == p - 1]
 
 
+def _flatten(family: dict[int, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """(half, lo, hi) int64 arrays of every row of a family, half-period by
+    half-period in key order."""
+    rows = np.concatenate([np.zeros((0, 2), dtype=np.int64), *family.values()])
+    half = np.fromiter(family, dtype=np.int64, count=len(family))
+    return half.repeat([len(v) for v in family.values()]), rows[:, 0], rows[:, 1]
+
+
+def _family(half: np.ndarray, rows: np.ndarray) -> dict[int, np.ndarray]:
+    """The family whose rows are `rows`, grouped by the sorted `half`."""
+    heads = _run_starts(half).nonzero()[0]
+    return dict(zip(half[heads].tolist(), np.split(rows, heads[1:])))
+
+
 @dataclass
 class SquaresTable:
     """Interval representation of square start positions per half-period.
 
-    intervals[p] is a sorted list of disjoint, non-adjacent closed
-    intervals [l..r]: T[i..i+2p) is a square iff some interval of
-    intervals[p] contains i.
+    intervals[p] is a (k, 2) int64 array of disjoint, non-adjacent closed
+    intervals [l..r] sorted by l: T[i..i+2p) is a square iff some interval
+    of intervals[p] contains i.
     """
 
     n: int
     relation: str
-    intervals: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
+    intervals: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -177,13 +191,16 @@ class SquaresTable:
 
     def contains(self, i: int, p: int) -> bool:
         ivs = self.intervals.get(p)
-        if not ivs:
+        if ivs is None:
             return False
-        pos = bisect_right(ivs, (i, self.n + 1)) - 1
-        return pos >= 0 and ivs[pos][0] <= i <= ivs[pos][1]
+        pos = int(ivs[:, 0].searchsorted(i, side="right")) - 1
+        return pos >= 0 and i <= int(ivs[pos, 1])
 
     def positions(self, p: int) -> list[int]:
-        return [i for lo, hi in self.intervals.get(p, []) for i in range(lo, hi + 1)]
+        ivs = self.intervals.get(p)
+        if ivs is None:
+            return []
+        return [i for lo, hi in ivs.tolist() for i in range(lo, hi + 1)]
 
 
 def reversed_index(index: ScerIndex) -> ScerIndex:
@@ -233,12 +250,7 @@ def squares_table(
     lo, lp = left[np.lexsort((left[:, 0], left[:, 1]))].T
     hi, rp = right[np.lexsort((right[:, 0], right[:, 1]))].T
     _check_pairing(lo, lp, hi, rp)
-    table = SquaresTable(index.n, index.relation)
-    heads = _run_starts(rp).nonzero()[0].tolist()  # the first start of each p
-    lo_l, hi_l, p_l = lo.tolist(), hi.tolist(), rp.tolist()
-    for s, e in zip(heads, [*heads[1:], len(rp)]):
-        table.intervals[p_l[s]] = list(zip(lo_l[s:e], hi_l[s:e]))
-    return table
+    return SquaresTable(index.n, index.relation, _family(rp, np.stack((lo, hi), axis=1)))
 
 
 def _check_pairing(lo: np.ndarray, lp: np.ndarray, hi: np.ndarray, rp: np.ndarray) -> None:
@@ -269,14 +281,11 @@ def sweep_count(table: SquaresTable, lpf: np.ndarray, n: int) -> int:
     One offline dominance count: a wavelet matrix over lpf[1..n] answers
     every interval's count_less query in one batch.
     """
-    ivs = itertools.chain.from_iterable(
-        (lo, hi, 2 * p) for p, pieces in table.intervals.items() for lo, hi in pieces
-    )
-    lo, hi, length = np.fromiter(ivs, dtype=np.int64, count=3 * table.size).reshape(-1, 3).T
+    half, lo, hi = _flatten(table.intervals)
     values = np.asarray(lpf[1 : n + 1], dtype=np.int64)
     sigma = int(values.max(initial=0)) + 1
     wm = _WaveletMatrix(values, sigma)
-    return int(wm.count_less(np.minimum(length, sigma), lo - 1, hi).sum())
+    return int(wm.count_less(np.minimum(2 * half, sigma), lo - 1, hi).sum())
 
 
 def count_nonequivalent(

@@ -212,7 +212,6 @@ class ScerIndex:
         self.rank[self.order] = np.arange(n + 1, dtype=np.int32)
         self._rmq: _MinTable | None = None
         self._lpf: np.ndarray | None = None
-        self._tree: TreeView | None = None
 
     @property
     def rmq(self) -> _MinTable:
@@ -265,11 +264,6 @@ class ScerIndex:
         lpf[order[real]] = np.maximum(left, right)[real]
         self._lpf = lpf
         return lpf
-
-    def tree(self) -> "TreeView":
-        if self._tree is None:
-            self._tree = TreeView(self)
-        return self._tree
 
 
 class TreeView:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .counting import _family, _flatten
 from .encodings import profiles
 from .index import ScerIndex, _MinTable
 from .repeats import KRun, UniformKRun, uniform_start_intervals
@@ -33,7 +34,7 @@ class PSquareReport:
     report, of its exact string for the distinct report.
     """
 
-    periods: dict[int, list[tuple[int, int]]]
+    periods: dict[int, np.ndarray]
     occurrences: list[tuple[int, int]]
 
     @property
@@ -41,33 +42,23 @@ class PSquareReport:
         return len(self.occurrences)
 
 
-def _intersect_pieces(
-    a: list[tuple[int, int]], b: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """Pieces {I ∩ J} for disjoint sorted families a, b, via an endpoint
-    sweep with a coverage counter; adjacent pieces stay separate."""
-    events: dict[int, list[int]] = {}
-    for lo, hi in a:
-        events.setdefault(lo, [0, 0])[0] += 1
-        events.setdefault(hi + 1, [0, 0])[1] += 1
-    for lo, hi in b:
-        events.setdefault(lo, [0, 0])[0] += 1
-        events.setdefault(hi + 1, [0, 0])[1] += 1
-    cover = 0
-    open_at = None
-    pieces: list[tuple[int, int]] = []
-    for pos in sorted(events):
-        opens, closes = events[pos]
-        if open_at is not None:
-            pieces.append((open_at, pos - 1))
-            open_at = None
-        cover += opens - closes
-        if cover == 2:
-            open_at = pos
-    return pieces
+def _intersect_pieces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pieces {I ∩ J} for families a, b of disjoint closed intervals, each
+    a (k, 2) array sorted by lo; adjacent pieces stay separate.
+
+    The rows of b that meet a row I of a form one run: those with
+    hi >= I.lo and lo <= I.hi.  Pairing I with each row of its run, in
+    order, gives the pieces sorted by lo.
+    """
+    first = b[:, 1].searchsorted(a[:, 0])
+    count = b[:, 0].searchsorted(a[:, 1], side="right") - first
+    i = np.arange(len(a)).repeat(count)
+    # piece k of row I's run pairs with row first[I] + k of b
+    j = np.arange(len(i)) + (first - count.cumsum() + count).repeat(count)
+    return np.array((np.maximum(a[i, 0], b[j, 0]), np.minimum(a[i, 1], b[j, 1]))).T
 
 
-def candidate_intervals(t: Text) -> dict[int, list[tuple[int, int]]]:
+def candidate_intervals(t: Text) -> dict[int, np.ndarray]:
     """Per half-length l, the candidate start intervals R_l.
 
     Uniform sigma-run start intervals of the forward profile are
@@ -81,27 +72,25 @@ def candidate_intervals(t: Text) -> dict[int, list[tuple[int, int]]]:
     fwd = prof.forward
     back_rev = np.concatenate(([-1], prof.backward[1:][::-1]))
     sigma = t.sigma
-    out: dict[int, list[tuple[int, int]]] = {}
+    out: dict[int, np.ndarray] = {}
     for ell in range(1, n // 2 + 1):
         f_ivs = uniform_start_intervals(fwd, ell, sigma)
-        if not f_ivs:
+        if not len(f_ivs):
             continue
         b_raw = uniform_start_intervals(back_rev, ell, sigma)
-        if not b_raw:
+        if not len(b_raw):
             continue
-        mapped = [(n - bw - 2 * ell + 2, n - aw - 2 * ell + 2) for aw, bw in b_raw]
-        mapped.reverse()
-        pieces = _intersect_pieces(f_ivs, mapped)
-        if pieces:
+        pieces = _intersect_pieces(f_ivs, (n - 2 * ell + 2) - b_raw[::-1, ::-1])
+        if len(pieces):
             out[ell] = pieces
     return out
 
 
 def verify_intervals(
     t: Text,
-    candidates: dict[int, list[tuple[int, int]]] | None = None,
+    candidates: dict[int, np.ndarray] | None = None,
     index: ScerIndex | None = None,
-) -> dict[int, list[tuple[int, int]]]:
+) -> dict[int, np.ndarray]:
     """Drop or keep each candidate interval whole, testing only its left
     endpoint against the parameterized index: one batch LCP query answers
     every piece."""
@@ -109,13 +98,9 @@ def verify_intervals(
         candidates = candidate_intervals(t)
     if index is None:
         index = ScerIndex(t, "param")
-    pieces = [piece for ps in candidates.values() for piece in ps]
-    ell = np.repeat(np.fromiter(candidates, dtype=np.int64), [len(ps) for ps in candidates.values()])
-    lo = np.fromiter((piece[0] for piece in pieces), dtype=np.int64, count=len(pieces))
-    out: dict[int, list[tuple[int, int]]] = {}
-    for k in (index.lcp_batch(lo, lo + ell) >= ell).nonzero()[0].tolist():
-        out.setdefault(int(ell[k]), []).append(pieces[k])
-    return out
+    ell, lo, hi = _flatten(candidates)
+    keep = index.lcp_batch(lo, lo + ell) >= ell
+    return _family(ell[keep], np.stack((lo[keep], hi[keep]), axis=1))
 
 
 def _report_from_intervals(
@@ -129,19 +114,17 @@ def _report_from_intervals(
     lpf[i] < 2l exactly when the key is below 2l·m.  One batch query drops
     every piece whose minimum is not below that; only the rest split.
     """
-    pieces = [piece for ps in verified.values() for piece in ps]
-    if not pieces:
+    ell, lo, hi = _flatten(verified)
+    if not len(lo):
         return []
     m = len(lpf)
     table = _MinTable(np.asarray(lpf, dtype=np.int64) * m + np.arange(m))
-    limit = np.repeat(np.fromiter(verified, dtype=np.int64), [len(ps) for ps in verified.values()])
-    limit *= 2 * m
-    lo, hi = np.array(pieces, dtype=np.int64).T
+    limit = ell * (2 * m)
     out: list[tuple[int, int]] = []
     for k in (table.query_batch(lo, hi) < limit).nonzero()[0].tolist():
         bound = limit.item(k)
         length = bound // m
-        stack = [pieces[k]]
+        stack = [(lo.item(k), hi.item(k))]
         while stack:
             a, b = stack.pop()
             if a > b:

@@ -218,14 +218,15 @@ def count_uniform_k_runs(t, k: int, periods=None) -> int:
     return total
 
 
-def uniform_start_intervals(t, ell: int, k: int) -> list[tuple[int, int]]:
-    """Window-start intervals [a..b-2l] of the uniform k-runs of one period."""
+def uniform_start_intervals(t, ell: int, k: int) -> np.ndarray:
+    """Window-start intervals [a..b-2l] of the uniform k-runs of one period,
+    as the rows of a (m, 2) int64 array sorted by a."""
     s = _symbols(t)
     if not 1 <= ell <= (len(s) - 1) // 2:
-        return []
+        return np.zeros((0, 2), dtype=np.int64)
     d, _, wins = _windows(s, ell)
     firsts, lasts, _ = _segments(d, wins, ell, k)
-    return list(zip((firsts + 1).tolist(), lasts.tolist()))
+    return np.array((firsts + 1, lasts), dtype=np.int64).T
 
 
 def k_runs(t, k: int, periods=None) -> list[KRun]:

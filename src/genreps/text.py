@@ -91,10 +91,3 @@ def parse_text(raw: bytes, mode: str = "bytes") -> Text:
 def prev_array(t: Text) -> np.ndarray:
     """Last-occurrence positions; see Text.prev.  Index 0 is padding."""
     return t.prev
-
-
-def substring(t: Text, i: int, j: int) -> tuple[int, ...]:
-    """Dense symbols of T[i..j], inclusive 1-based endpoints."""
-    if not (1 <= i and j <= t.n and i <= j + 1):
-        raise ValueError(f"bad range [{i}..{j}] for n={t.n}")
-    return t.symbols[i - 1 : j]

@@ -147,6 +147,10 @@ def test_usage_error():
         ("verify", "--max-n", "-5"),
         ("verify", "--sigma-list", "0"),
         ("verify", "--k-list", "-1"),
+        ("bounds", "--threads", "0"),
+        ("bounds", "--threads", "-2"),
+        ("verify", "--threads", "0"),
+        ("verify", "--threads", "-2"),
     ],
 )
 def test_rejects_out_of_range_values(command, flag, value, capsys):
@@ -165,6 +169,18 @@ def test_negative_k_rejected(command):
     assert code == 2
     assert out == ""
     assert err.startswith("error: -k ")
+
+
+@pytest.mark.parametrize("command", ["kruns", "uniform", "mgr", "gruns"])
+@pytest.mark.parametrize("period", ["0", "-3", "5:2", "x"])
+def test_bad_period_rejected(command, period, capsys):
+    """Rejected before any output, with the flag named and no traceback."""
+    from genreps import cli
+
+    assert cli.main([command, "-", f"--period={period}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --period ")
 
 
 def test_verify_passes_and_deterministic():

@@ -102,14 +102,14 @@ def test_nonshiftable_unary():
     sets = nonshiftable_sets(idx)
     assert sets[1] == ([1], [3])  # L_1 = {1}, R_1 = {3}
     table = squares_table(idx)
-    assert table.intervals[1] == [(1, 3)]
-    assert table.intervals[2] == [(1, 1)]
+    assert table.intervals[1].tolist() == [[1, 3]]
+    assert table.intervals[2].tolist() == [[1, 1]]
 
 
 def test_boundary_square_nonshiftable():
     idx = ScerIndex(parse_text(b"abab"), "exact")
     table = squares_table(idx)
-    assert table.intervals == {2: [(1, 1)]}
+    assert {p: ivs.tolist() for p, ivs in table.intervals.items()} == {2: [[1, 1]]}
 
 
 def _pairing_error(lefts, rights):
@@ -172,6 +172,23 @@ def test_squares_table_random_vs_oracle(relation):
         assert got == oracle.brute_squares_members(t, relation), t.symbols
 
 
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_squares_table_contains_equals_positions(relation):
+    """contains(i, p) answers i in positions(p) for every start and every
+    half-period, one past n/2 included."""
+    rng = random.Random(23)
+    texts = [random_text(rng, rng.randint(0, 120), rng.choice([1, 2, 3, 4, 26])) for _ in range(6)]
+    for n in (1, 2, 7, 60, 120):
+        texts += [text_from_symbols(sym) for sym in ([0] * n, [i % 2 for i in range(n)], fibonacci(n))]
+    for t in texts:
+        table = squares_table(ScerIndex(t, relation))
+        for p in range(1, t.n // 2 + 2):
+            members = set(table.positions(p))
+            assert [table.contains(i, p) for i in range(1, t.n + 1)] == [
+                i in members for i in range(1, t.n + 1)
+            ], (t.symbols, p)
+
+
 def test_interval_endpoint_duality():
     """Interval endpoints are exactly the non-shiftable square starts."""
     rng = random.Random(5)
@@ -183,7 +200,7 @@ def test_interval_endpoint_duality():
             members = oracle.brute_squares_members(t, rel)
             for p, ivs in table.intervals.items():
                 want = oracle.members_to_intervals(members.get(p, []))
-                assert ivs == want
+                assert ivs.tolist() == [list(iv) for iv in want]
 
 
 def test_cursor_counter_basics():

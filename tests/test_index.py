@@ -8,7 +8,7 @@ import pytest
 from conftest import fibonacci, random_text
 from genreps import index, oracle
 from genreps.encodings import RELATIONS, make_encoder
-from genreps.index import ScerIndex
+from genreps.index import ScerIndex, TreeView
 from genreps.text import parse_text, text_from_symbols
 
 
@@ -168,7 +168,7 @@ def test_tree_lca_weights_match_lcp():
         t = random_text(rng, rng.randint(2, 30), rng.choice([2, 3]))
         for rel in ("exact", "param", "pal"):
             idx = ScerIndex(t, rel)
-            tree = idx.tree()
+            tree = TreeView(idx)
             assert [tree.leaf_start for _ in [0]]  # tree built
             starts = list(idx.order)
             for _ in range(60):
@@ -179,7 +179,7 @@ def test_tree_lca_weights_match_lcp():
 def test_tree_leaf_order_matches_index():
     t = parse_text(b"banana")
     idx = ScerIndex(t, "exact")
-    tree = idx.tree()
+    tree = TreeView(idx)
     leaves = [v for v in range(len(tree.weight)) if not tree.children[v]]
     leaves.sort(key=lambda v: tree.leaf_lo[v])
     assert [tree.leaf_start[v] for v in leaves] == list(idx.order)

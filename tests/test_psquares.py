@@ -1,12 +1,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import fibonacci, random_text
 from genreps import oracle
 from genreps.index import ScerIndex
 from genreps.psquares import (
+    _intersect_pieces,
     candidate_intervals,
     partition_run,
     report_distinct,
@@ -22,6 +24,38 @@ def _cand_positions(cands, ell):
     for lo, hi in cands.get(ell, []):
         out.update(range(lo, hi + 1))
     return out
+
+
+def _random_family(rng, n):
+    """Disjoint closed intervals in [1..n] sorted by lo, some touching."""
+    out, lo = [], rng.randint(1, 3)
+    while lo <= n and rng.random() < 0.85:
+        hi = min(n, lo + rng.choice([0, 0, 1, 2, 5]))
+        out.append((lo, hi))
+        lo = hi + rng.choice([1, 1, 2, 4])
+    return out
+
+
+def test_intersect_pieces_vs_pairwise():
+    """The pieces are the nonempty I ∩ J over all pairs, sorted by lo,
+    with adjacent pieces kept apart."""
+    rng = random.Random(9)
+    cases = [([], []), ([(1, 4)], []), ([], [(2, 2)]), ([(1, 3), (4, 6)], [(2, 5)]),
+             ([(3, 3)], [(3, 3)]), ([(1, 2), (3, 3), (4, 9)], [(2, 3), (4, 4), (9, 9)])]
+    cases += [(_random_family(rng, n), _random_family(rng, n)) for n in rng.choices(range(1, 30), k=400)]
+    for a, b in cases:
+        want = sorted(
+            (max(alo, blo), min(ahi, bhi))
+            for alo, ahi in a
+            for blo, bhi in b
+            if max(alo, blo) <= min(ahi, bhi)
+        )
+        got = _intersect_pieces(
+            np.array(a, dtype=np.int64).reshape(-1, 2), np.array(b, dtype=np.int64).reshape(-1, 2)
+        )
+        assert got.dtype == np.int64 and got.shape == (len(want), 2)
+        assert got.tolist() == [list(piece) for piece in want], (a, b)
+    assert _intersect_pieces(np.array([[1, 3], [4, 6]]), np.array([[2, 5]])).tolist() == [[2, 3], [4, 5]]
 
 
 def test_candidates_cover_whole_square():
@@ -99,10 +133,11 @@ def test_verify_batch_equals_per_piece_queries():
         cands = candidate_intervals(t)
         want = {}
         for ell, pieces in cands.items():
-            kept = [(lo, hi) for lo, hi in pieces if idx.lcp_suffixes(lo, lo + ell) >= ell]
+            kept = [[lo, hi] for lo, hi in pieces.tolist() if idx.lcp_suffixes(lo, lo + ell) >= ell]
             if kept:
                 want[ell] = kept
         got = verify_intervals(t, cands, idx)
+        got = {ell: pieces.tolist() for ell, pieces in got.items()}
         assert got == want and list(got) == list(want), t.symbols
 
 
@@ -115,8 +150,8 @@ def test_dropped_interval_has_no_squares():
         verified = verify_intervals(t, cands)
         members = oracle.brute_squares_members(t, "param")
         for ell, pieces in cands.items():
-            kept = set(verified.get(ell, []))
-            for piece in pieces:
+            kept = set(map(tuple, verified.get(ell, np.zeros((0, 2))).tolist()))
+            for piece in map(tuple, pieces.tolist()):
                 if piece not in kept:
                     checked += 1
                     inside = set(range(piece[0], piece[1] + 1))

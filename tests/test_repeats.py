@@ -170,7 +170,7 @@ def test_input_forms_agree(runs_text):
                         for i in range(1, t.n - 2 * ell + 2)
                         for k in (0, 2)
                     ],
-                    [uniform_start_intervals(f, ell, 2) for ell in range(0, half + 2)],
+                    [uniform_start_intervals(f, ell, 2).tolist() for ell in range(0, half + 2)],
                     uniform_k_runs(f, 2),
                     uniform_k_runs(f, 1, periods=[3, 8]),
                     count_uniform_k_runs(f, 2),
