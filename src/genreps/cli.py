@@ -36,14 +36,33 @@ def _default_threads() -> int:
         return 1
 
 
+def _int_list(spec: str) -> list[int]:
+    return [int(x) for x in spec.split(",")]
+
+
+def _parse_flag(flag: str, spec: str, convert=_int_list, what: str = "comma-separated integers"):
+    """convert(spec); a usage error naming the flag if that raises ValueError,
+    or divides by zero as Fraction("1/0") does."""
+    try:
+        return convert(spec)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} must be {what}, got {spec!r}") from None
+
+
+def _positive_fraction(spec: str) -> Fraction:
+    value = Fraction(spec)
+    if value <= 0:
+        raise ValueError(spec)
+    return value
+
+
 def _parse_periods(spec: str | None):
     """None, the period P or the range LO:HI; a usage error unless 1 <= P, 1 <= LO <= HI."""
     if spec is None:
         return None
-    try:
-        bounds = [int(x) for x in spec.split(":", 1)]
-    except ValueError:
-        raise ValueError(f"--period must be an integer P or a range LO:HI, got {spec!r}") from None
+    bounds = _parse_flag(
+        "--period", spec, lambda s: [int(x) for x in s.split(":", 1)], "an integer P or a range LO:HI"
+    )
     _check_ranges(("--period", bounds, 1), ("--period", bounds[-1:], bounds[0]))
     return bounds[0] if len(bounds) == 1 else range(bounds[0], bounds[1] + 1)
 
@@ -112,9 +131,9 @@ def cmd_uniform(args) -> int:
 
 
 def cmd_mgr(args) -> int:
+    alpha = None if args.alpha is None else _parse_flag("--alpha", args.alpha, _positive_fraction, "a number > 0")
     periods = _parse_periods(args.period)
     t = _read_text(args)
-    alpha = Fraction(args.alpha) if args.alpha else None
     recs = repeats.mgrs(t, alpha, periods)
     recs.sort(key=lambda r: (r.ell, r.x))
     _emit(sys.stdout, args.fmt, "mgr", [(r.x, r.y, r.ell, r.arm_len, "arm_len") for r in recs])
@@ -262,9 +281,9 @@ _BOUNDS_COLS = [
 
 def cmd_bounds(args) -> int:
     metrics = set(args.metrics.split(","))
-    ns = [int(x) for x in args.n.split(",")]
-    ks = [int(x) for x in args.k_list.split(",")]
-    sigmas = [int(x) for x in args.sigma_list.split(",")]
+    ns = _parse_flag("--n", args.n)
+    ks = _parse_flag("--k-list", args.k_list)
+    sigmas = _parse_flag("--sigma-list", args.sigma_list)
     _check_ranges(
         ("--n", ns, 1),
         ("--k-list", ks, 0),
@@ -299,8 +318,8 @@ def cmd_verify(args) -> int:
     if args.max_n > oracle.BRUTE_CAP:
         print(f"error: --max-n {args.max_n} exceeds the oracle cap {oracle.BRUTE_CAP}", file=sys.stderr)
         return 2
-    sigmas = [int(x) for x in args.sigma_list.split(",")]
-    ks = [int(x) for x in args.k_list.split(",")]
+    sigmas = _parse_flag("--sigma-list", args.sigma_list)
+    ks = _parse_flag("--k-list", args.k_list)
     _check_ranges(
         ("--trials", [args.trials], 1),
         ("--max-n", [args.max_n], 0),

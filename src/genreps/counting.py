@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encodings import REVERSED_RELATION, _WaveletMatrix
+from .encodings import REVERSED_RELATION, PalEncoder, _WaveletMatrix
 from .index import _ROUND_CELLS, ScerIndex
 from .text import Text
 
@@ -204,8 +204,15 @@ class SquaresTable:
 
 
 def reversed_index(index: ScerIndex) -> ScerIndex:
-    """Index of the reversed text under the relation that mirrors matches."""
-    return ScerIndex(index.text.reversed(), REVERSED_RELATION[index.relation])
+    """Index of the reversed text under the relation that mirrors matches.
+
+    Under "pal" the reversed encoder takes the text's palindrome radii,
+    mirrored, in place of a second Manacher pass.
+    """
+    rev = index.text.reversed()
+    if index.relation == "pal":
+        return ScerIndex(rev, encoder=PalEncoder(rev, index.encoder.radii.reversed()))
+    return ScerIndex(rev, REVERSED_RELATION[index.relation])
 
 
 def _nonshiftable_starts(

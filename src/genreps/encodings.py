@@ -267,6 +267,15 @@ class PalindromeRadii:
     odd: np.ndarray
     even: np.ndarray
 
+    def reversed(self) -> "PalindromeRadii":
+        """Radii of the reversed text: centre c there is centre n+1-c here
+        (odd), and the gap after c is the gap after n-c here (even)."""
+        odd = np.zeros_like(self.odd)
+        odd[1:] = self.odd[:0:-1]
+        even = np.zeros_like(self.even)
+        even[1:-1] = self.even[-2:0:-1]
+        return PalindromeRadii(odd, even)
+
 
 def maximal_palindromes(t: Text) -> PalindromeRadii:
     """All maximal palindromes by Manacher's algorithm, O(n)."""
@@ -339,9 +348,11 @@ class PalEncoder(Encoder):
 
     relation = "pal"
 
-    def __init__(self, text: Text):
+    def __init__(self, text: Text, radii: PalindromeRadii | None = None):
+        """`radii`, when given, are the text's `maximal_palindromes`."""
         super().__init__(text)
-        radii = maximal_palindromes(text)
+        radii = radii if radii is not None else maximal_palindromes(text)
+        self.radii = radii
         c = np.arange(text.n + 1)
         self._odd = _reach_levels(c + radii.odd)
         self._even = _reach_levels(c + radii.even)

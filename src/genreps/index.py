@@ -13,13 +13,15 @@ longest-previous-factor array in one batched pass.  A weighted tree view
 of the compacted trie serves the tests.
 
 Construction is deterministic, and the relation alone picks the path at
-every text length, n = 0 included: prefix doubling plus the Kasai walk
-for exact matching, and for every other relation one block sort, a
-level-synchronous MSD radix sort that asks the encoder
-for blocks of code columns (`Encoder.code_block`) of all still-tied
-suffixes, lexsorts them within their tie groups, and writes each adjacent
-LCP where a tied pair first differs.  The Kasai carry is not used there,
-since it is unsound for window-clipped encodings.  Each path makes the
+every text length, n = 0 included.  Exact matching sorts by prefix
+doubling from a packed first key (h0 symbols per int64) with one argsort
+per round, and lifts each adjacent LCP down the rounds' rank levels.
+Every other relation takes one block sort, a level-synchronous MSD radix
+sort that asks the encoder for blocks of code columns
+(`Encoder.code_block`) of all still-tied suffixes, lexsorts them within
+their tie groups, and writes each adjacent LCP where a tied pair first
+differs.  It carries no LCP from one suffix to the next (Kasai's carry),
+since that is unsound for window-clipped encodings.  Each path makes the
 three arrays once; nothing downstream converts them again.
 """
 
@@ -109,28 +111,6 @@ class _MinTable:
         return np.minimum(nxt, last + 1, out=nxt)
 
 
-def _order_exact(text: Text) -> np.ndarray:
-    """Suffix order by prefix doubling (numpy), sentinel suffix first."""
-    n = text.n
-    s = text.padded_np[1:]
-    order = np.argsort(s, kind="stable")
-    rank = np.zeros(n, dtype=np.int64)
-    sv = s[order]
-    rank[order] = np.cumsum(np.concatenate(([0], (sv[1:] != sv[:-1]).astype(np.int64))))
-    k = 1
-    while k < n and rank[order[-1]] != n - 1:
-        key2 = np.full(n, -1, dtype=np.int64)
-        key2[: n - k] = rank[k:]
-        order = np.lexsort((key2, rank))
-        r1, r2 = rank[order], key2[order]
-        changed = np.concatenate(([0], ((r1[1:] != r1[:-1]) | (r2[1:] != r2[:-1])).astype(np.int64)))
-        newr = np.zeros(n, dtype=np.int64)
-        newr[order] = np.cumsum(changed)
-        rank = newr
-        k <<= 1
-    return np.concatenate(([n + 1], order + 1))
-
-
 def _block_sort(encoder: Encoder, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Suffix order and adjacent LCPs by a level-synchronous MSD block sort.
 
@@ -169,27 +149,67 @@ def _block_sort(encoder: Encoder, n: int) -> tuple[np.ndarray, np.ndarray]:
     return order, lcp
 
 
-def _kasai_exact(sym, order: np.ndarray, n: int) -> np.ndarray:
-    """Adjacent LCPs of the exact suffix order by the Kasai walk.
+def _exact_sort(text: Text) -> tuple[np.ndarray, np.ndarray]:
+    """Suffix order and adjacent LCPs of the plain text by prefix doubling.
 
-    The walk visits the suffixes in text order, each against its
-    predecessor in the order (phi), and carries the LCP less one from one
-    suffix to the next; the result is then permuted into rank order.
+    Round 0 packs T[i..i+h0) into one int64 key per suffix (symbol + 1 in
+    `bits` bits per slot, first symbol highest, 0 past the end) and ranks
+    the keys with one argsort.  Each later round doubles h with one key,
+    rank * (n + 1) + (rank h further on, + 1, or 0 past the end), and one
+    argsort, until every rank differs.  The ranks of the rounds that still
+    had ties are the levels: equal ranks at level h mean h equal symbols.
+    An adjacent pair's LCP lifts down the levels, largest first, adding h
+    where the ranks agree, and ends inside one packed block, at the
+    leading slot of the xor of the two keys.
     """
-    phi = np.zeros(n + 2, dtype=np.int64)
-    phi[order[1:]] = order[:-1]
-    phi = phi.tolist()
-    plcp = [0] * (n + 2)  # the empty suffix n+1 comes first: lcp 0
-    h = 0
-    for i in range(1, n + 1):
-        j = phi[i]
-        limit = min(n - i + 1, n - j + 1)
-        while h < limit and sym[i + h] == sym[j + h]:
-            h += 1
-        plcp[i] = h
-        if h:
-            h -= 1
-    return np.array(plcp, dtype=np.int32)[order]
+    n, sigma = text.n, text.sigma
+    if n == 0:
+        return np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    bits = sigma.bit_length()
+    h0 = 1 << ((62 // bits).bit_length() - 1)  # largest power of two with h0 * bits <= 62
+    key = np.zeros(n + h0, dtype=np.int64)
+    key[:n] = text.padded_np[1:] + 1
+    h = 1
+    while h < h0:
+        key[:n] = (key[:n] << (bits * h)) | key[h : n + h]
+        h <<= 1
+    order, levels = _doubling(key[:n], h0)
+    # adjacent pairs (a, b) of the order, 0-based; position n is past the
+    # end, where the rank -1 and the key 0 match no suffix
+    a, b = order[:-1], order[1:]
+    lcp = np.zeros(n - 1, dtype=np.int64)
+    h = h0 << len(levels)
+    for level in reversed(levels):
+        h >>= 1
+        np.add(lcp, h, out=lcp, where=level[a + lcp] == level[b + lcp])
+    x = key[a + lcp] ^ key[b + lcp]
+    # bit length of x, exactly: frexp is exact below 2**53, so shift first
+    top = (x >> 31 > 0) * 31
+    lcp += h0 - 1 - (np.frexp(x >> top)[1] + top - 1) // bits
+    return np.concatenate(([n + 1], order + 1)), np.concatenate(([0, 0], lcp))
+
+
+def _doubling(key: np.ndarray, h: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Suffix order by prefix doubling from keys that rank the suffixes by
+    their first h symbols, and the rank levels: the int32 dense ranks, with
+    -1 appended at position n, of every round that still had ties."""
+    n = len(key)
+    levels = []
+    while True:
+        order = np.argsort(key)
+        sk = key[order]
+        rank = np.empty(n + 1, dtype=np.int32)
+        rank[n] = -1
+        rank[order[0]] = 0
+        rank[order[1:]] = np.cumsum(sk[1:] != sk[:-1], dtype=np.int32)
+        if rank[order[-1]] == n - 1:
+            return order, levels
+        levels.append(rank)
+        key = rank[:n].astype(np.int64)
+        key *= n + 1
+        key[: n - h] += rank[h:n]  # two in-place adds: no n-sized temporary
+        key[: n - h] += 1
+        h <<= 1
 
 
 class ScerIndex:
@@ -202,8 +222,7 @@ class ScerIndex:
         n = text.n
         self.n = n
         if isinstance(self.encoder, ExactEncoder):
-            order = _order_exact(text)
-            lcp = _kasai_exact(text.padded, order, n)
+            order, lcp = _exact_sort(text)
         else:
             order, lcp = _block_sort(self.encoder, n)
         self.order = np.asarray(order, dtype=np.int32)

@@ -44,14 +44,13 @@ class Text:
     @cached_property
     def prev(self) -> np.ndarray:
         """prev[i]: last position of symbol T[i] in T[1..i), 0 if none."""
-        n = self.n
-        prev = np.zeros(n + 1, dtype=np.int64)
-        last = [0] * self.sigma
-        s = self.padded
-        for i in range(1, n + 1):
-            c = s[i]
-            prev[i] = last[c]
-            last[c] = i
+        s = self.padded_np
+        # positions 1..n grouped by symbol, ascending within each group (a
+        # stable sort, by radix on the narrowest dtype that holds sigma)
+        pos = np.argsort(s[1:].astype(np.min_scalar_type(self.sigma)), kind="stable") + 1
+        same = s[pos[1:]] == s[pos[:-1]]
+        prev = np.zeros(self.n + 1, dtype=np.int64)
+        prev[pos[1:][same]] = pos[:-1][same]
         return prev
 
     def reversed(self) -> "Text":
@@ -61,14 +60,17 @@ class Text:
 def text_from_symbols(values: Iterable[int]) -> Text:
     """Build a Text from arbitrary non-negative integers via a dense remap."""
     vals = list(values)
-    for v in vals:
-        if v < 0:
-            raise ValueError(f"negative symbol {v}")
     if not vals:
         return Text((), 0, ())
-    arr = np.asarray(vals, dtype=np.int64)
+    try:
+        arr = np.asarray(vals, dtype=np.int64)
+    except OverflowError:
+        big = next(v for v in vals if not -(1 << 63) <= v < 1 << 63)
+        raise ValueError(f"symbol {big} does not fit in 64 bits") from None
+    if arr.min() < 0:
+        raise ValueError(f"negative symbol {arr[arr < 0][0]}")
     alphabet, dense = np.unique(arr, return_inverse=True)
-    return Text(tuple(int(x) for x in dense), len(alphabet), tuple(int(x) for x in alphabet))
+    return Text(tuple(dense.tolist()), len(alphabet), tuple(alphabet.tolist()))
 
 
 def parse_text(raw: bytes, mode: str = "bytes") -> Text:

@@ -135,6 +135,16 @@ def test_usage_error():
     assert code == 2
 
 
+def test_ints_token_too_large_is_usage_error():
+    """A token past the int64 range is a usage error naming it, not a traceback."""
+    for token in ("99999999999999999999", "9223372036854775808", "-9223372036854775809"):
+        code, out, err = run_cli(["count", "-", "--ints"], data=f"1 {token} 2".encode())
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and token in err
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [
@@ -151,6 +161,11 @@ def test_usage_error():
         ("bounds", "--threads", "-2"),
         ("verify", "--threads", "0"),
         ("verify", "--threads", "-2"),
+        ("bounds", "--n", "10,x"),
+        ("bounds", "--k-list", "1,a"),
+        ("bounds", "--sigma-list", ""),
+        ("verify", "--k-list", "1,a"),
+        ("verify", "--sigma-list", "2,"),
     ],
 )
 def test_rejects_out_of_range_values(command, flag, value, capsys):
@@ -169,6 +184,17 @@ def test_negative_k_rejected(command):
     assert code == 2
     assert out == ""
     assert err.startswith("error: -k ")
+
+
+@pytest.mark.parametrize("alpha", ["foo", "-1", "0", "1/0", ""])
+def test_bad_alpha_rejected(alpha, capsys):
+    """Rejected before any output, with the flag named and no traceback."""
+    from genreps import cli
+
+    assert cli.main(["mgr", "-", f"--alpha={alpha}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --alpha ")
 
 
 @pytest.mark.parametrize("command", ["kruns", "uniform", "mgr", "gruns"])

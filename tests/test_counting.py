@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import fibonacci, random_text
-from genreps import counting, oracle
+from genreps import counting, encodings, oracle
 from genreps.counting import (
     count_distinct,
     count_nonequivalent,
@@ -53,6 +53,23 @@ def test_nonextendible_random_vs_lcp_definition():
                         if idx.lcp_suffixes(i, i + p) == p:
                             want.add((i, p))
                 assert got == want, (idx.relation, t.symbols)
+
+
+def test_reversed_pal_index_reuses_mirrored_radii(monkeypatch):
+    """The reversed pal index takes the text's palindrome radii, mirrored,
+    and equals the pal index built on the reversed text."""
+    rng = random.Random(31)
+    texts = [random_text(rng, rng.randint(0, 60), rng.choice([1, 2, 3])) for _ in range(40)]
+    texts += [text_from_symbols(fibonacci(n)) for n in (1, 2, 13, 34)]
+    for t in texts:
+        fwd = ScerIndex(t, "pal")
+        want = ScerIndex(t.reversed(), "pal")
+        with monkeypatch.context() as m:
+            m.setattr(encodings, "maximal_palindromes", None)  # no second Manacher pass
+            got = reversed_index(fwd)
+        assert got.relation == "pal"
+        assert got.order.tolist() == want.order.tolist(), t.symbols
+        assert got.lcp.tolist() == want.lcp.tolist(), t.symbols
 
 
 @pytest.mark.parametrize(

@@ -235,6 +235,79 @@ def test_index_equals_reference():
         _assert_array_form(idx)
 
 
+def _sorted_suffixes(syms, width=None):
+    """Order and adjacent LCPs of the exact index from sorting the suffixes.
+
+    Suffixes sort by their first `width` symbols (all of them by default),
+    a shorter one first on a tie; those prefixes must all differ, so that
+    they order the suffixes as the whole suffixes do.
+    """
+    s, n = tuple(syms), len(syms)
+    keys = [s[i - 1 : i - 1 + (width or n)] for i in range(1, n + 1)]
+    assert len(set(keys)) == n
+    order = [n + 1, *sorted(range(1, n + 1), key=lambda i: keys[i - 1])]
+    lcp = [0]
+    for a, b in zip(order, order[1:]):
+        l = 0
+        while a + l <= n and b + l <= n and s[a + l - 1] == s[b + l - 1]:
+            l += 1
+        lcp.append(l)
+    return order, lcp
+
+
+def _packed_width(sigma):
+    """Symbols per packed key of the exact index: the largest power of two
+    h0 with h0 * bit_length(sigma) <= 62."""
+    return 1 << ((62 // sigma.bit_length()).bit_length() - 1)
+
+
+def _assert_exact_sorted(syms, width=None):
+    idx = ScerIndex(text_from_symbols(syms), "exact")
+    order, lcp = _sorted_suffixes(syms, width)
+    assert idx.order.tolist() == order, syms[:40]
+    assert idx.lcp.tolist() == lcp, syms[:40]
+    _assert_array_form(idx)
+
+
+@pytest.mark.parametrize("sigma", [64, 127, 128, 16384, 20000])
+def test_exact_index_dense_alphabet(sigma):
+    """Every symbol of [0..sigma) occurs, so each packed slot has
+    bit_length(sigma) bits: 56 bits of key at sigma 64 and 127, 60 at
+    16384 and 20000.  A repeat of the text's head reaches past one packed
+    block.  Two adjacent suffixes share h0 + 1 zeros and then differ in h0
+    slots, 2**(bits-1) - 1 against 2**(bits-1) - 2 in every one, so their
+    packed keys xor to all ones, 2**(h0 * bits) - 1."""
+    rng = random.Random(sigma)
+    h0 = _packed_width(sigma)
+    hi = (1 << (sigma.bit_length() - 1)) - 1
+    zeros = [0] * (h0 + 1)
+    perm = rng.sample(range(1, sigma), sigma - 1)
+    tail = [rng.randrange(1, sigma) for _ in range(200)]
+    syms = perm + zeros + [hi] * h0 + zeros + [hi - 1] * h0 + perm[: 3 * h0 + 1] + tail
+    _assert_exact_sorted(syms, width=8 * h0)
+
+
+@pytest.mark.parametrize("name", ["unary", "period2", "fib"])
+def test_exact_index_degenerate_lengths(name):
+    """Unary, period-2 and Fibonacci texts at lengths around one and two
+    packed blocks and around powers of two, where the doubling rounds and
+    the lifted levels end."""
+    make = {"unary": lambda n: [0] * n, "period2": lambda n: [i % 2 for i in range(n)], "fib": fibonacci}[name]
+    h0 = _packed_width(1 if name == "unary" else 2)
+    lengths = {h0 - 1, h0, h0 + 1, 2 * h0 - 1, 2 * h0 + 1}
+    lengths |= {(1 << k) + d for k in range(1, 11) for d in (-1, 1)}
+    for n in sorted(lengths):
+        _assert_exact_sorted(make(n))
+
+
+def test_exact_index_tiny_texts():
+    for n in (0, 1, 2):
+        for syms in itertools.product(range(3), repeat=n):
+            _assert_exact_sorted(list(syms))
+    for syms in ([7], [10**12, 5], [2**63 - 1, 0]):
+        _assert_exact_sorted(syms)
+
+
 def test_large_path_degenerate_texts():
     for syms in ([0] * 300, [0, 1] * 160, [0, 0, 1] * 110):
         t = text_from_symbols(syms)

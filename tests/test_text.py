@@ -33,6 +33,8 @@ def test_parse_errors():
         parse_text(b"3 -1", "ints")
     with pytest.raises(ValueError):
         parse_text(b"abc", "utf-17")
+    with pytest.raises(ValueError, match="99999999999999999999"):
+        parse_text(b"1 99999999999999999999", "ints")
 
 
 def test_prev_array_example():
