@@ -28,7 +28,6 @@ from .oracle import CursorCounter
 from .psquares import (
     PSquareReport,
     candidate_intervals,
-    partition_run,
     report_distinct,
     report_nonequivalent,
     verify_intervals,
@@ -76,7 +75,6 @@ __all__ = [
     "mgrs",
     "mismatch_positions",
     "parse_text",
-    "partition_run",
     "prev_array",
     "profiles",
     "report_distinct",

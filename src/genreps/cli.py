@@ -83,16 +83,16 @@ def _read_text(args) -> Text:
     return parse_text(data, "ints" if args.ints else "bytes")
 
 
-def _emit(out, fmt: str, kind: str, rows) -> None:
-    """rows: iterables of (a, b, period, extra[, extra_name])."""
-    for rec in rows:
-        if fmt == "tsv":
-            out.write("\t".join(str(x) for x in (kind, *rec[:4])) + "\n")
-        else:
-            a, b, period, extra = rec[:4]
-            name = rec[4] if len(rec) > 4 else "extra"
-            payload = {"v": 1, "kind": kind, "a": a, "b": b, "period": period, name: extra}
-            out.write(json.dumps(payload) + "\n")
+def _emit(out, fmt: str, kind: str, extra: str, rows) -> None:
+    """Write one line per row (a, b, period, value) of ints, tsv or jsonl
+    (the value under the key `extra`), all in one write."""
+    if fmt == "tsv":
+        lines = [f"{kind}\t{a}\t{b}\t{p}\t{v}\n" for a, b, p, v in rows]
+    else:
+        head = f'{{"v": 1, "kind": {json.dumps(kind)}, "a": '
+        key = json.dumps(extra)
+        lines = [f'{head}{a}, "b": {b}, "period": {p}, {key}: {v}}}\n' for a, b, p, v in rows]
+    out.write("".join(lines))
 
 
 def _add_common(sub, periods=True):
@@ -111,7 +111,7 @@ def cmd_kruns(args) -> int:
     t = _read_text(args)
     recs = repeats.k_runs(t, args.k, periods)
     recs.sort(key=lambda r: (r.ell, r.a))
-    _emit(sys.stdout, args.fmt, "krun", [(r.a, r.b, r.ell, r.k, "k") for r in recs])
+    _emit(sys.stdout, args.fmt, "krun", "k", [(r.a, r.b, r.ell, r.k) for r in recs])
     return 0
 
 
@@ -125,7 +125,8 @@ def cmd_uniform(args) -> int:
         sys.stdout,
         args.fmt,
         "uniform",
-        [(r.a, r.b, r.ell, len(r.mismatches), "mismatches") for r in recs],
+        "mismatches",
+        [(r.a, r.b, r.ell, len(r.mismatches)) for r in recs],
     )
     return 0
 
@@ -136,7 +137,7 @@ def cmd_mgr(args) -> int:
     t = _read_text(args)
     recs = repeats.mgrs(t, alpha, periods)
     recs.sort(key=lambda r: (r.ell, r.x))
-    _emit(sys.stdout, args.fmt, "mgr", [(r.x, r.y, r.ell, r.arm_len, "arm_len") for r in recs])
+    _emit(sys.stdout, args.fmt, "mgr", "arm_len", [(r.x, r.y, r.ell, r.arm_len) for r in recs])
     return 0
 
 
@@ -145,7 +146,7 @@ def cmd_gruns(args) -> int:
     t = _read_text(args)
     recs = repeats.generalised_runs(t, periods)
     recs.sort(key=lambda r: (r.p, r.x))
-    _emit(sys.stdout, args.fmt, "grun", [(r.x, r.y, r.p, 0) for r in recs])
+    _emit(sys.stdout, args.fmt, "grun", "extra", [(r.x, r.y, r.p, 0) for r in recs])
     return 0
 
 
@@ -232,21 +233,23 @@ def _bounds_row(n: int, k: int, sigma: int, trial: int, seed: int, metrics) -> l
     rng = random.Random(seed * 1_000_003 + trial)
     t = _random_text(rng, n, sigma)
     row: dict[str, object] = {"n": n, "k": k, "sigma": sigma, "trial": trial}
+    # one jump index for every repeat metric of the row
+    jumps = repeats.jump_index(t) if metrics & {"runs", "mgr", "gruns"} else None
     if "runs" in metrics:
-        cnt = repeats.count_uniform_k_runs(t, k)
+        cnt = repeats.count_uniform_k_runs(t, k, index=jumps)
         row["uniform_runs"] = cnt
         row["uniform_ratio"] = (
             cnt / (n * k * (math.log(2 * k + 1) + 1)) if k >= 1 else ""
         )
     if "mgr" in metrics:
-        recs = repeats.mgrs(t, 2 * k + 2)  # the largest alpha counted below
+        recs = repeats.mgrs(t, 2 * k + 2, index=jumps)  # the largest alpha counted below
         ratios = []
         for alpha in range(2, 2 * k + 3):
             cum = sum(1 for r in recs if r.ell <= alpha * r.arm_len)
             ratios.append(cum / (13 * n * alpha))
         row["mgr_ratio_max"] = max(ratios) if ratios else ""
     if "gruns" in metrics:
-        g = len(repeats.generalised_runs(t))
+        g = len(repeats.generalised_runs(t, index=jumps))
         row["gruns"] = g
         row["grun_ratio"] = g / (1.5 * n)
     if "table" in metrics or "classes" in metrics:
@@ -341,6 +344,13 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+_K_HELP = (
+    "the runs come from O(nk log n) sampled LCE jumps, meant for small k: the "
+    "paper's O(nk log k) bound on their number is informative only for k log k "
+    "well below n (see the README for timings as k grows)"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="genreps",
@@ -351,12 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kruns", help="maximal k-runs per period")
     _add_common(p)
-    p.add_argument("-k", type=int, default=0)
+    p.add_argument("-k", type=int, default=0, help="mismatches allowed; " + _K_HELP)
     p.set_defaults(func=cmd_kruns)
 
     p = sub.add_parser("uniform", help="maximal uniform k-runs per period")
     _add_common(p)
-    p.add_argument("-k", type=int, default=0)
+    p.add_argument("-k", type=int, default=0, help="mismatches allowed; " + _K_HELP)
     p.set_defaults(func=cmd_uniform)
 
     p = sub.add_parser("mgr", help="maximal gapped repeats")
@@ -381,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="empirical count-bound harness (CSV)")
     p.add_argument("--n", default="1000", help="comma-separated text lengths")
-    p.add_argument("--k-list", default="3", help="comma-separated k values")
+    p.add_argument("--k-list", default="3", help="comma-separated k values; " + _K_HELP)
     p.add_argument("--sigma-list", default="4", help="comma-separated alphabet sizes")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)

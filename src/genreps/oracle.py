@@ -379,18 +379,25 @@ def brute_uniform_k_runs(
     return [seg for seg in segments if len(seg[3]) <= k]
 
 
-def brute_k_runs(t: Text, k: int) -> list[tuple[int, int, int]]:
-    """Maximal stretches of k-mismatch-square starts, per period."""
+def brute_window_counts(t: Text) -> list[list[int]]:
+    """Per period l = 1..n/2, the mismatch count of every window start."""
     _require_cap(t.n)
     n = t.n
     s = t.padded
+    return [
+        [sum(1 for q in range(i, i + ell) if s[q] != s[q + ell]) for i in range(1, n - 2 * ell + 2)]
+        for ell in range(1, n // 2 + 1)
+    ]
+
+
+def brute_k_runs(t: Text, k: int, counts=None) -> list[tuple[int, int, int]]:
+    """Maximal stretches of k-mismatch-square starts, per period."""
+    if counts is None:
+        counts = brute_window_counts(t)
     out = []
-    for ell in range(1, n // 2 + 1):
-        w = n - 2 * ell + 1
-        ok = [
-            sum(1 for q in range(i, i + ell) if s[q] != s[q + ell]) <= k
-            for i in range(1, w + 1)
-        ]
+    for ell, wins in enumerate(counts, 1):
+        w = len(wins)
+        ok = [c <= k for c in wins]
         i = 0
         while i < w:
             if not ok[i]:
@@ -548,16 +555,18 @@ def verify_text(t: Text, ks=(0, 1, 2, 3, 4), relations=("exact", "param", "op", 
     s = t.padded
 
     segments = brute_uniform_segments(t)
+    counts = brute_window_counts(t)
+    jumps = repeats.jump_index(t)  # one LCE index for every sampled enumerator
     for k in ks:
-        got = [(r.a, r.b, r.ell, r.mismatches) for r in repeats.uniform_k_runs(t, k)]
+        got = [(r.a, r.b, r.ell, r.mismatches) for r in repeats.uniform_k_runs(t, k, index=jumps)]
         want = brute_uniform_k_runs(t, k, segments)
         if sorted(got) != sorted(want):
             fails.append(f"uniform_k_runs k={k}: {len(got)} records vs oracle {len(want)}")
-        got_k = [(r.a, r.b, r.ell) for r in repeats.k_runs(t, k)]
-        want_k = brute_k_runs(t, k)
+        got_k = [(r.a, r.b, r.ell) for r in repeats.k_runs(t, k, index=jumps)]
+        want_k = brute_k_runs(t, k, counts)
         if sorted(got_k) != sorted(want_k):
             fails.append(f"k_runs k={k}: {len(got_k)} records vs oracle {len(want_k)}")
-    got_g = [(r.x, r.y, r.p) for r in repeats.generalised_runs(t)]
+    got_g = [(r.x, r.y, r.p) for r in repeats.generalised_runs(t, index=jumps)]
     if sorted(got_g) != sorted(brute_generalised_runs(t)):
         fails.append("generalised_runs mismatch")
     got_m = [(r.x, r.y, r.ell, r.arm_len) for r in repeats.mgrs(t)]

@@ -21,8 +21,8 @@ import numpy as np
 from .counting import _family, _flatten
 from .encodings import profiles
 from .index import ScerIndex, _MinTable
-from .repeats import KRun, UniformKRun, uniform_start_intervals
-from .text import Text, text_from_symbols
+from .repeats import uniform_start_intervals
+from .text import Text
 
 
 @dataclass(frozen=True)
@@ -164,30 +164,3 @@ def report_distinct(
     verified = verify_intervals(t, index=index)
     occs = _report_from_intervals(verified, exact_index.lpf())
     return PSquareReport(verified, occs)
-
-
-def partition_run(profile, run: KRun, lcp=None) -> list[UniformKRun]:
-    """Split one run of the profile into its maximal uniform runs by
-    kangaroo jumps: two LCP probes locate the next mismatch entering or
-    leaving the window, bounding how far the current mismatch set survives.
-    """
-    seq = profile.padded if isinstance(profile, Text) else list(profile)
-    if not (seq and seq[0] == -1):
-        seq = [-1, *seq]
-    n = len(seq) - 1
-    if lcp is None:
-        idx = ScerIndex(text_from_symbols(seq[1:]), "exact")
-        lcp = idx.lcp_suffixes
-    a, b, ell = run.a, run.b, run.ell
-    out: list[UniformKRun] = []
-    while b - a >= 2 * ell:
-        lim = b - 2 * ell - a
-        d1 = 1 + min(lcp(a, a + ell), lim)
-        d2 = 1 + min(lcp(a + ell, a + 2 * ell), lim)
-        d = min(d1, d2)
-        mism = tuple(q for q in range(a, a + ell) if seq[q] != seq[q + ell])
-        out.append(UniformKRun(a, a + d - 1 + 2 * ell, ell, mism, run.k))
-        a += d
-    return out
-
-

@@ -1,23 +1,50 @@
 """Enumeration of k-mismatch repeats: uniform k-runs, k-runs, generalised
 runs and maximal gapped repeats (MGRs).
 
-Every enumerator is one numpy scan per period l over the mismatch vector
-d[q] = (T[q] != T[q+l]), after Kolpakov and Kucherov's per-period scan:
+For a period l let d[x] = (T[x] != T[x+l]), x in [1..n-l].  A window start
+i in [1..n-2l+1] covers d[i..i+l); a k-run is a maximal stretch of starts
+whose windows hold at most k mismatches, and a uniform k-run a maximal
+stretch whose windows share one such mismatch set.  The equality blocks
+of d (runs of T[x] = T[x+l]) of length u >= l are the generalised runs of
+period l, and those with u < l its MGRs.
 
-* the running count of d gives the mismatch count of every window [i..i+l)
-  of a start i in [1..n-2l+1]; the k-runs are the maximal stretches of
-  starts whose count is <= k;
-* the mismatch set changes from start i to start i+1 exactly when position
-  i leaves or position i+l enters (d[i] | d[i+l]); these cuts split the
-  starts into segments, and the uniform k-runs are the segments whose
-  count is <= k;
-* the generalised runs of period l are the maximal equality blocks
-  (runs of T[q] = T[q+l]) of length u >= l, and its MGRs those with u < l.
+k-runs, uniform k-runs, generalised runs (the 0-runs) and MGRs with a
+gap-ratio bound come from sampled kangaroo jumps, after Landau, Schmidt
+and Sokol (J. Comput. Biol. 2001) and Kolpakov and Kucherov (TCS 2003):
 
-An enumerator filters these per-period arrays and builds record objects
-only for what it returns.  Records store fragments as half-open [a..b);
-reported positions are 1-based.  Functions accept a Text or any integer
-sequence (a 1-based one padded with -1 at index 0 is used as is).
+* every window of period l holds exactly one sample q in {l, 2l, ...}, so
+  the samples of all periods number about n ln n;
+* from each sample, k+1 forward LCE jumps from (q, q+l) find its first
+  mismatches f_1 < f_2 < ... at or after q, and k+1 backward jumps from
+  (q-1, q+l-1) its last mismatches b_1 > b_2 > ... before q.  A jump
+  round is one batch LCP query over every sample with a jump left to take,
+  on one exact index of T$T^R (`jump_index`); a side stops once it
+  leaves the windows holding q, so a period costs O(kn/l) queries and the
+  whole enumeration O(nk log n);
+* the good starts of sample q are the union over a of (b_{a+1},
+  f_{k-a+1} - l], clipped to the windows holding q, and one running
+  maximum over them, in sample order, merges them into k-runs;
+* a sample's uniform segments are cut at its b's, f's and f-l's, a
+  segment's count is #{b >= u} + #{f <= u+l-1} at its first start u, and
+  a segment that reaches the sample's last start with no cut there goes on
+  in the next sample;
+* an MGR with gap ratio l/u <= alpha has an arm u >= ceil(l/alpha), so it
+  holds a multiple of that step: one jump each way from those samples.
+
+Samples go in chunks of at most `index._ROUND_CELLS` cells, and a chunk
+caps k at its largest period, since a window of period l holds at most l
+mismatches.  The jumps cost O(nk log n) against the Θ(n^2) of a scan over
+every (period, start) cell, so they are meant for small k, the paper's
+regime: its O(nk log k) bound on the runs is informative only for k log k
+well below n.  Two paths keep one numpy scan per period over d: unbounded
+MGRs, whose Θ(n^2) output on random text sampling cannot beat, and
+`uniform_start_intervals`, which `psquares.candidate_intervals` calls with
+k = sigma, where the sampled cut step does not yet pay.  Records store
+fragments as half-open [a..b); reported positions are 1-based.  Functions
+accept a Text or any integer sequence (a 1-based one padded with -1 at
+index 0 is used as is), and the sampled ones an optional `jump_index` of
+the text, built once per call when it is not given and checked against
+the text when it is.
 """
 
 from __future__ import annotations
@@ -25,11 +52,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
-from .text import Text
+from .index import _ROUND_CELLS, ScerIndex
+from .text import Text, _dense_text
 
 
 @dataclass(frozen=True)
@@ -102,12 +129,15 @@ def _symbols(t) -> np.ndarray:
     return np.concatenate(([-1], s))
 
 
-def _period_range(n: int, periods) -> Iterable[int]:
+def _periods(n: int, periods) -> np.ndarray:
+    """The periods asked for (all when None) that lie in [1..n/2], in the
+    order asked."""
+    half = n // 2
     if periods is None:
-        return range(1, n // 2 + 1)
+        return np.arange(1, half + 1)
     if isinstance(periods, int):
-        return (periods,) if 1 <= periods <= n // 2 else ()
-    return [p for p in periods if 1 <= p <= n // 2]
+        periods = (periods,)
+    return np.array([p for p in periods if 1 <= p <= half], dtype=np.int64)
 
 
 def _mismatches(s: np.ndarray, ell: int) -> np.ndarray:
@@ -127,39 +157,6 @@ def _runs(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     padded[1:-1] = flags
     edges = (padded[1:] != padded[:-1]).nonzero()[0]
     return edges[::2], edges[1::2]
-
-
-def _windows(s: np.ndarray, ell: int):
-    """The window scan of one period l <= n/2 over its w = n-2l+1 starts.
-
-    Returns the mismatch vector d, its running count csum (csum[q] counts
-    the pad and the mismatching positions <= q) and the mismatch count
-    wins[i-1] of each window [i..i+l).
-    """
-    d = _mismatches(s, ell)
-    csum = np.add.accumulate(d, dtype=np.intp)  # half the call cost of d.cumsum()
-    return d, csum, csum[ell:] - csum[: len(d) - ell]
-
-
-def _cuts(d: np.ndarray, ell: int) -> np.ndarray:
-    """cuts[i] for i in [0..w]: true at 0, at w, and where the mismatch set
-    changes from start i to start i+1 (a mismatching position leaves or
-    enters), so the uniform segments are the starts (c..c'] between cuts."""
-    w = len(d) - ell
-    cuts = np.empty(w + 1, dtype=bool)
-    cuts[0] = cuts[w] = True
-    np.bitwise_or(d[1:w], d[ell + 1 :], out=cuts[1:w])
-    return cuts
-
-
-def _segments(d: np.ndarray, wins: np.ndarray, ell: int, k: int):
-    """The uniform segments of one period with window count <= k: their
-    0-based first starts, 1-based last starts and counts."""
-    bounds = _cuts(d, ell).nonzero()[0]
-    firsts = bounds[:-1]
-    counts = wins[firsts]
-    keep = counts <= k
-    return firsts[keep], bounds[1:][keep], counts[keep]
 
 
 def mismatch_positions(t, ell: int) -> list[int]:
@@ -182,107 +179,347 @@ def is_k_mismatch_square(t, i: int, ell: int, k: int) -> bool:
     return int(np.count_nonzero(s[i : i + ell] != s[i + ell : i + 2 * ell])) <= k
 
 
-def uniform_k_runs(t, k: int, periods=None) -> list[UniformKRun]:
+# ---------------------------------------------------------------------------
+# sampled kangaroo jumps
+
+
+def _joined(t) -> tuple[np.ndarray, int]:
+    """The dense codes of T$T^R, $ = sigma, and sigma."""
+    s = _symbols(t)
+    if isinstance(t, Text):
+        dense, sigma = s[1:], t.sigma
+    else:
+        alphabet, dense = np.unique(s[1:], return_inverse=True)
+        sigma = len(alphabet)
+    return np.concatenate((dense, [sigma], dense[::-1])), sigma
+
+
+def jump_index(t) -> ScerIndex:
+    """The exact suffix index of T$T^R, $ a symbol not in T, that the
+    sampled enumerators read their jumps from.
+
+    Forward, the LCE of positions x, y of T is their LCP: $ ends every
+    match at the end of T.  Backward, the longest common suffix of T[1..x]
+    and T[1..y] is the LCP of positions 2n+2-x and 2n+2-y, in T^R, where
+    the end of the text ends every match at the start of T.
+    """
+    joined, sigma = _joined(t)
+    return ScerIndex(_dense_text(joined, sigma + 1, tuple(range(sigma + 1))), "exact")
+
+
+def _index_for(t, index: ScerIndex | None) -> ScerIndex:
+    """The given jump index after checking that it is one of t, else a new one."""
+    if index is None:
+        return jump_index(t)
+    joined, _ = _joined(t)
+    if index.relation != "exact" or not np.array_equal(index.text.padded_np[1:], joined):
+        raise ValueError("index is not the jump index of this text")
+    return index
+
+
+def _chunks(n: int, ells: np.ndarray, steps: np.ndarray, width: int):
+    """The samples q = step, 2*step, ... <= n-l of every period l, in period
+    order, as (period index, l, q) arrays of at most _ROUND_CELLS cells of
+    `width` cells per sample."""
+    counts = (n - ells) // steps
+    ends = counts.cumsum()
+    total = int(ends[-1]) if len(ends) else 0
+    size = max(1, _ROUND_CELLS // width)
+    for g0 in range(0, total, size):
+        g = np.arange(g0, min(g0 + size, total))
+        p = ends.searchsorted(g, side="right")
+        yield p, ells[p], (g - ends[p] + counts[p] + 1) * steps[p]
+
+
+def _jumps(index: ScerIndex, n: int, ell: np.ndarray, q: np.ndarray, k: int):
+    """The k+1 mismatches of each sample q on each side: (B, F), two (m, k+1)
+    arrays with B[:, a] = b_{a+1} and F[:, a] = f_{a+1}.
+
+    Both sides jump in T$T^R: forward from (q, q+l), backward from
+    (2n+3-q, 2n+3-q-l), the mirror of (q-1, q+l-1).  An LCP of c from
+    position x hits the mismatch at x+c, and the next jump starts at
+    x+c+1, so a jump round is one `lcp_batch` over the sides that go on.  A side
+    stops at its first mismatch outside [q-l..q+l], or at the end of the
+    text (b = 0, f = n-l+1); its later columns repeat that value, which no
+    window holding q, and no cut of its starts, can tell from the true
+    ones.
+    """
+    m = len(q)
+    end = 2 * n + 2  # T[x] sits at position end - x of T^R
+    x = np.concatenate((q, end + 1 - q))
+    step = np.concatenate((ell, -ell))
+    last = np.concatenate((np.minimum(q + ell, n - ell), np.minimum(end + ell - q, end - 1)))
+    hits = np.zeros((k + 1, 2 * m), dtype=np.int64)
+    on = np.arange(2 * m)  # the sides that go on
+    for r in range(k + 1):
+        hit = x + index.lcp_batch(x, x + step)
+        hits[r, on] = hit
+        keep = hit <= last
+        if not keep.any():
+            break
+        on, x, step, last = on[keep], hit[keep] + 1, step[keep], last[keep]
+    # hits only grow along a side: a running maximum repeats a stopped one
+    hits = np.maximum.accumulate(hits, axis=0).T
+    return end - hits[m:], hits[:m]
+
+
+def _good_starts(n: int, ell: np.ndarray, q: np.ndarray, B: np.ndarray, F: np.ndarray):
+    """(lo, hi), two (m, k+1) arrays: column j holds the starts
+    (b_{k+1-j}, f_{j+1} - l] clipped to the windows holding q, empty where
+    lo > hi.  Along a row lo never falls, and the union of a row is the
+    sample's good starts."""
+    lo = np.maximum(B[:, ::-1] + 1, (q - ell + 1)[:, None])
+    hi = np.minimum(F - ell[:, None], np.minimum(q, n - 2 * ell + 1)[:, None])
+    return lo, hi
+
+
+def _spans(head: np.ndarray):
+    """First and last entry of each stretch of entries that begins where
+    head is set (head[0] must be)."""
+    first = head.nonzero()[0]
+    last = np.empty_like(first)
+    last[:-1] = first[1:] - 1
+    last[-1] = len(head) - 1
+    return first, last
+
+
+def _merge(lo: np.ndarray, hi: np.ndarray):
+    """The maximal runs of the union of integer intervals [lo..hi], given
+    sorted by lo: their (lo, hi) arrays."""
+    if not len(lo):
+        return lo, hi
+    top = np.maximum.accumulate(hi)
+    head = np.empty(len(lo), dtype=bool)
+    head[0] = True
+    np.greater(lo[1:], top[:-1] + 1, out=head[1:])
+    first, last = _spans(head)
+    return lo[first], top[last]
+
+
+def _chains(cont: np.ndarray):
+    """First and last entry of each chain, where an entry with cont set goes
+    on from the entry before it (entry 0 always starts a chain)."""
+    head = ~cont
+    head[0] = True
+    return _spans(head)
+
+
+def _k_run_rows(t, k: int, periods, index):
+    """(l, first start, last start) arrays of all maximal k-runs, in period
+    order and then by start."""
+    s = _symbols(t)
+    n = len(s) - 1
+    ells = _periods(n, periods)
+    if k < 0 or not len(ells):
+        return ells[:0], ells[:0], ells[:0]
+    index = _index_for(t, index)
+    k = min(k, int(ells.max()))
+    span = n + 2  # period index p keys the starts p*span + [1..n]
+    runs = []
+    for p, ell, q in _chunks(n, ells, ells, 2 * k + 2):
+        # a window of period l has at most l mismatches
+        lo, hi = _good_starts(n, ell, q, *_jumps(index, n, ell, q, min(k, int(ell.max()))))
+        key = (p * span)[:, None]
+        ok = lo <= hi
+        runs.append(_merge((lo + key)[ok], (hi + key)[ok]))
+    lo, hi = runs[0]
+    if len(runs) > 1:  # a run that crosses a chunk boundary merges here
+        lo, hi = _merge(*map(np.concatenate, zip(*runs)))
+    p = lo // span
+    return ells[p], lo - p * span, hi - p * span
+
+
+def k_runs(t, k: int, periods=None, index: ScerIndex | None = None) -> list[KRun]:
+    """All maximal k-runs: every window of the stretch is a k-mismatch square."""
+    ells, a, last = _k_run_rows(t, k, periods, index)
+    return [
+        KRun(x, y, ell, k)
+        for x, y, ell in zip(a.tolist(), (last + 2 * ells).tolist(), ells.tolist())
+    ]
+
+
+def generalised_runs(t, periods=None, index: ScerIndex | None = None) -> list[GeneralisedRun]:
+    """All maximal periodic fragments of length >= 2p per period p: the
+    0-runs."""
+    ells, a, last = _k_run_rows(t, 0, periods, index)
+    return [
+        GeneralisedRun(x, y, ell)
+        for x, y, ell in zip(a.tolist(), (last + 2 * ells).tolist(), ells.tolist())
+    ]
+
+
+def _uniform_segments(t, k: int, periods, index):
+    """Per chunk of samples, the uniform segments with count <= k, in period
+    order and then by start: (l, first start, last start, cont, known, row,
+    lo, hi) arrays.  cont marks a segment that goes on from the one before
+    it; the mismatches of its first window are known[row, lo:hi]."""
+    s = _symbols(t)
+    n = len(s) - 1
+    ells = _periods(n, periods)
+    if k < 0 or not len(ells):
+        return
+    index = _index_for(t, index)
+    k = min(k, int(ells.max()))
+    for p, ell, q in _chunks(n, ells, ells, 3 * k + 5):
+        B, F = _jumps(index, n, ell, q, min(k, int(ell.max())))
+        lo, hi = _good_starts(n, ell, q, B, F)
+        live = (lo <= hi).any(axis=1)  # no good start, no uniform k-run
+        if not live.any():
+            continue
+        ell, q, B, F = ell[live], q[live], B[live], F[live]
+        # segment starts lie in (c0..c1]; cuts come from d[c] (the b's and
+        # f = q) and d[c+l] (the f - l's), and those outside move onto c1
+        c0 = (q - ell)[:, None]
+        c1 = np.minimum(q, n - 2 * ell + 1)[:, None]
+        cuts = np.concatenate((c0, c1, B, F, F - ell[:, None]), axis=1)
+        cuts = np.where((cuts < c0) | (cuts > c1), c1, cuts)
+        cuts.sort(axis=1)
+        # a window [u..u+l) holds the known mismatches between two
+        # searchsorted bounds in its sample's ascending row of b's and f's;
+        # one searchsorted serves all rows, row r offset by r * (2n+2)
+        off = np.arange(len(q))[:, None] * (2 * n + 2)
+        known = np.concatenate((B[:, ::-1], F), axis=1)
+        flat = (known + off).ravel()
+        u = cuts[:, :-1] + 1
+        lo = flat.searchsorted(u + off)
+        hi = flat.searchsorted(u + (ell[:, None] - 1) + off, side="right")
+        rows, cols = ((u <= cuts[:, 1:]) & (hi - lo <= k)).nonzero()
+        if len(rows):
+            cont = (cols == 0) & (cuts[rows, 1] != c0[rows, 0]) & (c0[rows, 0] > 0)
+            base = rows * known.shape[1]
+            yield (
+                ell[rows], u[rows, cols], cuts[rows, cols + 1], cont,
+                known, rows, lo[rows, cols] - base, hi[rows, cols] - base,
+            )
+
+
+def uniform_k_runs(t, k: int, periods=None, index: ScerIndex | None = None) -> list[UniformKRun]:
     """All maximal uniform k-runs: stretches of equal-length squares whose
     mismatch sets coincide and have size at most k."""
-    s = _symbols(t)
-    out: list[UniformKRun] = []
-    for ell in _period_range(len(s) - 1, periods):
-        d, csum, wins = _windows(s, ell)
-        firsts, lasts, counts = _segments(d, wins, ell, k)
-        if not len(firsts):
-            continue
-        # pos[0] is the pad, so pos[csum[i-1]] is the first mismatch >= start i
-        pos = d.nonzero()[0].tolist()
-        out.extend(
-            UniformKRun(a + 1, e + 2 * ell, ell, tuple(pos[o : o + c]), k)
-            for a, e, o, c in zip(
-                firsts.tolist(), lasts.tolist(), csum[firsts].tolist(), counts.tolist()
-            )
-        )
-    return out
+    ells, firsts, ends, conts, sets = [], [], [], [], []
+    ints = np.arange(len(_symbols(t)), dtype=object)  # one int object per position
+    for ell, u, last, cont, known, row, lo, hi in _uniform_segments(t, k, periods, index):
+        head, tail = _chains(cont)
+        ells.append(ell[head])
+        firsts.append(u[head])
+        ends.append(last[tail])
+        conts.append(cont[head])
+        # one gather of the rows of known that start a run, then one list slice each
+        rows, at = np.unique(row[head], return_inverse=True)
+        got = ints[known[rows]].tolist()
+        sets += [
+            tuple(got[r][a:b]) for r, a, b in zip(at.tolist(), lo[head].tolist(), hi[head].tolist())
+        ]
+    if not ells:
+        return []
+    ell, first, last = (np.concatenate(v) for v in (ells, firsts, ends))
+    if len(conts) > 1:  # a chain that crosses a chunk boundary joins the one before it here
+        head, tail = _chains(np.concatenate(conts))
+        ell, first, last = ell[head], first[head], last[tail]
+        sets = [sets[h] for h in head.tolist()]
+    return [
+        UniformKRun(a, b, e, m, k)
+        for a, b, e, m in zip(first.tolist(), (last + 2 * ell).tolist(), ell.tolist(), sets)
+    ]
 
 
-def count_uniform_k_runs(t, k: int, periods=None) -> int:
-    """Number of maximal uniform k-runs (no records materialized).
-
-    A uniform run begins at a cut start whose window count is <= k: a
-    count changes only where the mismatch set does, so no segment
-    straddles a count boundary.
-    """
-    s = _symbols(t)
-    total = 0
-    for ell in _period_range(len(s) - 1, periods):
-        d, _, wins = _windows(s, ell)
-        total += int(np.count_nonzero(_cuts(d, ell)[:-1] & (wins <= k)))
-    return total
+def count_uniform_k_runs(t, k: int, periods=None, index: ScerIndex | None = None) -> int:
+    """Number of maximal uniform k-runs (no records materialized): one per
+    segment that does not go on from the segment before it."""
+    segments = _uniform_segments(t, k, periods, index)
+    return sum(int(np.count_nonzero(~cont)) for _, _, _, cont, *_ in segments)
 
 
-def uniform_start_intervals(t, ell: int, k: int) -> np.ndarray:
-    """Window-start intervals [a..b-2l] of the uniform k-runs of one period,
-    as the rows of a (m, 2) int64 array sorted by a."""
-    s = _symbols(t)
-    if not 1 <= ell <= (len(s) - 1) // 2:
-        return np.zeros((0, 2), dtype=np.int64)
-    d, _, wins = _windows(s, ell)
-    firsts, lasts, _ = _segments(d, wins, ell, k)
-    return np.array((firsts + 1, lasts), dtype=np.int64).T
-
-
-def k_runs(t, k: int, periods=None) -> list[KRun]:
-    """All maximal k-runs: every window of the stretch is a k-mismatch square."""
-    s = _symbols(t)
-    out: list[KRun] = []
-    for ell in _period_range(len(s) - 1, periods):
-        _, _, wins = _windows(s, ell)
-        starts, stops = _runs(wins <= k)
-        out.extend(
-            KRun(a + 1, e + 2 * ell, ell, k) for a, e in zip(starts.tolist(), stops.tolist())
-        )
-    return out
-
-
-def _arms(s: np.ndarray, ell: int, lo: int, hi: int | None):
-    """(x, u) of the equality blocks [x..x+u) of T[q] = T[q+l] with
-    lo <= u (and u < hi)."""
-    starts, stops = _runs(~_mismatches(s, ell))
-    arms = stops - starts
-    keep = arms >= lo
-    if hi is not None:
-        keep &= arms < hi
-    return zip(starts[keep].tolist(), arms[keep].tolist())
-
-
-def generalised_runs(t, periods=None) -> list[GeneralisedRun]:
-    """All maximal periodic fragments of length >= 2p per period p (0-runs)."""
-    s = _symbols(t)
-    out: list[GeneralisedRun] = []
-    for p in _period_range(len(s) - 1, periods):
-        out.extend(GeneralisedRun(x, x + u + p, p) for x, u in _arms(s, p, p, None))
-    return out
-
-
-def mgrs(t, alpha_max: Fraction | float | None = None, periods=None) -> list[Mgr]:
+def mgrs(
+    t, alpha_max: Fraction | float | None = None, periods=None, index: ScerIndex | None = None
+) -> list[Mgr]:
     """All maximal gapped repeats; arms strictly shorter than the period.
 
     Equality blocks of length u with 0 < u < period are exactly the MGRs of
     that period; blocks of length >= period are generalised runs instead.
-    A gap ratio l/u <= alpha = num/den is the arm bound u >= ceil(l*den/num),
-    taken in Python integers (a float alpha's den can reach 2**52).
+    A gap ratio l/u <= alpha = num/den is the arm bound u >= step =
+    ceil(l*den/num), taken in Python integers (a float alpha's den can reach
+    2**52).  Such an arm holds a multiple of step: from each, one jump
+    forward and one back give the block around it, and the block is kept
+    at its first multiple.  Without alpha every period is scanned.
     """
     s = _symbols(t)
+    n = len(s) - 1
     if alpha_max == math.inf:
         alpha_max = None
-    if alpha_max is not None:
-        alpha = Fraction(alpha_max)
-        if alpha <= 0:
-            return []
-    out: list[Mgr] = []
-    for ell in _period_range(len(s) - 1, periods):
-        lo = 1 if alpha_max is None else -(-ell * alpha.denominator // alpha.numerator)
-        if lo < ell:
-            out.extend(Mgr(x, x + u + ell, ell, u) for x, u in _arms(s, ell, lo, ell))
-    return out
+    if alpha_max is None:
+        out: list[Mgr] = []
+        for ell in _periods(n, periods).tolist():
+            out.extend(Mgr(x, x + u + ell, ell, u) for x, u in _arms(s, ell))
+        return out
+    alpha = Fraction(alpha_max)
+    if alpha <= 0:
+        return []
+    num, den = alpha.numerator, alpha.denominator
+    pairs = [
+        (ell, st) for ell in _periods(n, periods).tolist() if (st := -(-ell * den // num)) < ell
+    ]
+    if not pairs:
+        return []
+    index = _index_for(t, index)
+    ells, steps = np.array(pairs, dtype=np.int64).T
+    end = 2 * n + 2
+    x, arm, period = [], [], []
+    for p, ell, q in _chunks(n, ells, steps, 2):
+        step = steps[p]
+        m = len(q)
+        got = index.lcp_batch(
+            np.concatenate((q, end + 1 - q)), np.concatenate((q + ell, end + 1 - q - ell))
+        )
+        right, left = got[:m], got[m:]
+        u = left + right
+        keep = (right > 0) & (left < step) & (u >= step) & (u < ell)
+        x.append((q - left)[keep])
+        arm.append(u[keep])
+        period.append(ell[keep])
+    x, arm, period = (np.concatenate(v) for v in (x, arm, period))
+    return [
+        Mgr(a, b, ell, u)
+        for a, b, ell, u in zip(
+            x.tolist(), (x + arm + period).tolist(), period.tolist(), arm.tolist()
+        )
+    ]
+
+
+# ---------------------------------------------------------------------------
+# per-period scans
+
+
+def _arms(s: np.ndarray, ell: int):
+    """(x, u) of the equality blocks [x..x+u) of T[q] = T[q+l] with
+    0 < u < l."""
+    starts, stops = _runs(~_mismatches(s, ell))
+    arms = stops - starts
+    keep = arms < ell
+    return zip(starts[keep].tolist(), arms[keep].tolist())
+
+
+def uniform_start_intervals(t, ell: int, k: int) -> np.ndarray:
+    """Window-start intervals [a..b-2l] of the uniform k-runs of one period,
+    as the rows of a (m, 2) int64 array sorted by a.
+
+    One scan of the period: the running count of d gives every window's
+    mismatch count, and the mismatch set changes from start i to i+1
+    exactly where d[i] | d[i+l], which cuts the starts into segments.
+    """
+    s = _symbols(t)
+    if not 1 <= ell <= (len(s) - 1) // 2:
+        return np.zeros((0, 2), dtype=np.int64)
+    d = _mismatches(s, ell)
+    csum = np.add.accumulate(d, dtype=np.intp)  # half the call cost of d.cumsum()
+    w = len(d) - ell
+    cuts = np.empty(w + 1, dtype=bool)
+    cuts[0] = cuts[w] = True
+    np.bitwise_or(d[1:w], d[ell + 1 :], out=cuts[1:w])
+    bounds = cuts.nonzero()[0]
+    firsts = bounds[:-1]
+    keep = (csum[ell:] - csum[:w])[firsts] <= k
+    return np.array((firsts[keep] + 1, bounds[1:][keep]), dtype=np.int64).T
 
 
 def induces(rep: Mgr | GeneralisedRun, run: UniformKRun) -> bool:

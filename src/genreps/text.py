@@ -54,7 +54,14 @@ class Text:
         return prev
 
     def reversed(self) -> "Text":
-        return Text(tuple(reversed(self.symbols)), self.sigma, self.alphabet)
+        return _dense_text(self.padded_np[:0:-1], self.sigma, self.alphabet)
+
+
+def _dense_text(dense: np.ndarray, sigma: int, alphabet: tuple[int, ...]) -> Text:
+    """The Text of an int64 array of dense codes, its padded_np seeded from it."""
+    t = Text(tuple(dense.tolist()), sigma, alphabet)
+    t.__dict__["padded_np"] = np.concatenate(([-1], dense))
+    return t
 
 
 def text_from_symbols(values: Iterable[int]) -> Text:
@@ -70,23 +77,24 @@ def text_from_symbols(values: Iterable[int]) -> Text:
     if arr.min() < 0:
         raise ValueError(f"negative symbol {arr[arr < 0][0]}")
     alphabet, dense = np.unique(arr, return_inverse=True)
-    return Text(tuple(dense.tolist()), len(alphabet), tuple(alphabet.tolist()))
+    return _dense_text(dense, len(alphabet), tuple(alphabet.tolist()))
 
 
 def parse_text(raw: bytes, mode: str = "bytes") -> Text:
     """Parse raw input into a Text.
 
     mode "bytes": every byte is one symbol.  mode "ints": ASCII
-    whitespace-separated non-negative integers.
+    whitespace-separated non-negative integers, each a run of ASCII digits
+    (no sign, no underscore).
     """
     if mode == "bytes":
         return text_from_symbols(raw)
     if mode == "ints":
-        try:
-            vals = [int(tok) for tok in raw.split()]
-        except ValueError as exc:
-            raise ValueError(f"malformed integer token: {exc}") from None
-        return text_from_symbols(vals)
+        tokens = raw.split()
+        bad = next((tok for tok in tokens if not tok.isdigit()), None)
+        if bad is not None:
+            raise ValueError(f"malformed integer token {bad.decode('utf-8', 'replace')!r}")
+        return text_from_symbols([int(tok) for tok in tokens])
     raise ValueError(f"unknown input mode {mode!r}")
 
 

@@ -145,6 +145,20 @@ def test_ints_token_too_large_is_usage_error():
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("token", ["1_0", "+5", "-5", "0x1f", "1e3", "\u0663"])
+def test_ints_token_must_be_ascii_digits(token, tmp_path, capsys):
+    """A token int() would also read (1_0, +5, a non-ASCII digit) is no
+    symbol: it is a usage error naming the token, not a silent 10 or 5."""
+    from genreps import cli
+
+    path = tmp_path / "ints.txt"
+    path.write_bytes(f"{token} 10 5".encode())
+    assert cli.main(["count", str(path), "--ints"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and repr(token) in err
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [

@@ -92,8 +92,8 @@ def test_verify_text_detects_injected_fault(monkeypatch):
     """Sanity of the harness: a mutated windowing path must be reported."""
     broken = repeats.uniform_k_runs
 
-    def sabotage(t, k, periods=None):
-        out = broken(t, k, periods)
+    def sabotage(t, k, periods=None, index=None):
+        out = broken(t, k, periods, index)
         return out[:-1] if out else out
 
     monkeypatch.setattr(repeats, "uniform_k_runs", sabotage)

@@ -10,12 +10,10 @@ from genreps.index import ScerIndex
 from genreps.psquares import (
     _intersect_pieces,
     candidate_intervals,
-    partition_run,
     report_distinct,
     report_nonequivalent,
     verify_intervals,
 )
-from genreps.repeats import KRun, k_runs, uniform_k_runs
 from genreps.text import parse_text, text_from_symbols
 
 
@@ -202,42 +200,6 @@ def test_reported_squares_verify_and_class_bound():
             key = (length, tuple(rows[i][:length]))
             assert key not in seen
             seen.add(key)
-
-
-def test_partition_trivial_single_run():
-    t = parse_text(b"abaaba")
-    run = k_runs(t, 0, 3)[0]
-    parts = partition_run(t, run)
-    assert [(p.a, p.b, p.mismatches) for p in parts] == [(run.a, run.b, ())]
-
-
-def test_partition_splits_krun(runs_text):
-    """The 2-run T[5..24] of period 8 splits into T[5..22] and T[8..24]."""
-    run = KRun(5, 25, 8, 2)
-    parts = partition_run(runs_text, run)
-    assert [(p.a, p.b) for p in parts] == [(5, 23), (8, 25)]
-    want = [r for r in uniform_k_runs(runs_text, 2, 8) if r.a >= 5]
-    assert [(p.a, p.b, p.mismatches) for p in parts] == [
-        (r.a, r.b, r.mismatches) for r in want
-    ]
-
-
-def test_partition_random_vs_windowing():
-    rng = random.Random(8)
-    for _ in range(20):
-        t = random_text(rng, rng.randint(2, 90), rng.choice([2, 3]))
-        k = rng.choice([0, 1, 2, 3])
-        uniform = uniform_k_runs(t, k)
-        for run in k_runs(t, k):
-            parts = partition_run(t, run)
-            want = [
-                r
-                for r in uniform
-                if r.ell == run.ell and run.a <= r.a and r.b <= run.b
-            ]
-            assert [(p.a, p.b, p.ell, p.mismatches) for p in parts] == [
-                (r.a, r.b, r.ell, r.mismatches) for r in want
-            ]
 
 
 def test_report_order_deterministic():

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import fibonacci, random_text
 from genreps import oracle, repeats
+from genreps.index import ScerIndex
 from genreps.repeats import (
     GeneralisedRun,
     Mgr,
@@ -286,3 +288,138 @@ def test_hard_count_bounds():
             assert cum < 13 * n * alpha
         cnt = count_uniform_k_runs(t, k)
         assert cnt <= 200 * n * k * (math.log(2 * k + 1) + 1)
+
+
+# ---------------------------------------------------------------------------
+# the sampled enumerators against the per-period scan of uniform_start_intervals
+
+
+def _scan_reference(t, k, periods):
+    """Uniform k-runs (a, b, l, mismatches) and k-runs (a, b, l) of the
+    periods, in their order, from uniform_start_intervals: a k-run is a
+    maximal chain of touching uniform rows."""
+    uniform, runs = [], []
+    for ell in periods:
+        pos = mismatch_positions(t, ell) if ell <= t.n else []
+        rows = uniform_start_intervals(t, ell, k).tolist()
+        for a, e in rows:
+            inside = pos[bisect.bisect_left(pos, a) : bisect.bisect_left(pos, a + ell)]
+            uniform.append((a, e + 2 * ell, ell, tuple(inside)))
+        merged = []
+        for a, e in rows:
+            if merged and merged[-1][1] + 1 == a:
+                merged[-1][1] = e
+            else:
+                merged.append([a, e])
+        runs += [(a, e + 2 * ell, ell) for a, e in merged]
+    return uniform, runs
+
+
+def _sampled(t, k, periods=None, index=None):
+    uni = [(r.a, r.b, r.ell, r.mismatches) for r in uniform_k_runs(t, k, periods, index)]
+    runs = [(r.a, r.b, r.ell) for r in k_runs(t, k, periods, index)]
+    assert all(r.k == k for r in k_runs(t, k, periods, index))
+    return uni, runs, count_uniform_k_runs(t, k, periods, index)
+
+
+def _check_against_scan(t, k, periods=None):
+    if periods is None:
+        asked = range(1, t.n // 2 + 1)
+    elif isinstance(periods, int):
+        asked = [periods] if 1 <= periods <= t.n // 2 else []
+    else:
+        asked = [p for p in periods if 1 <= p <= t.n // 2]
+    want_uni, want_runs = _scan_reference(t, k, asked)
+    uni, runs, count = _sampled(t, k, periods)
+    assert uni == want_uni
+    assert runs == want_runs
+    assert count == len(want_uni)
+
+
+def _sampled_corpus():
+    rng = random.Random(14)
+    texts = [random_text(rng, n, sigma) for n in (0, 1, 2, 3) for sigma in (1, 2)]
+    texts += [
+        random_text(rng, rng.randint(4, 160), rng.choice([1, 2, 3, 4, 26])) for _ in range(24)
+    ]
+    return texts + _structured_texts()
+
+
+def test_sampled_matches_scan_reference():
+    for t in _sampled_corpus():
+        for k in (0, 1, 2, 4):
+            _check_against_scan(t, k)
+        # k above every mismatch count: every window of every period is good
+        _check_against_scan(t, t.n + 3)
+
+
+def test_sampled_explicit_periods():
+    rng = random.Random(15)
+    for _ in range(12):
+        t = random_text(rng, rng.randint(0, 90), rng.choice([2, 3]))
+        p = rng.randint(1, 20)
+        for periods in (p, range(p, p + 7), [p + 3, p, p], [0, -2, t.n]):
+            for k in (0, 2):
+                _check_against_scan(t, k, periods)
+
+
+@pytest.mark.parametrize("sigma, k", [(2, 1), (4, 2), (4, 4)])
+def test_sampled_long_text(sigma, k):
+    """n = 2000; at k = 4 the samples fill two chunks of the cell budget."""
+    t = random_text(random.Random(16 + sigma + k), 2000, sigma)
+    _check_against_scan(t, k)
+
+
+def test_sampled_chunk_boundaries(monkeypatch):
+    """A budget of a few samples per chunk moves runs and uniform segments
+    across chunk boundaries; the records do not change."""
+    rng = random.Random(17)
+    texts = [random_text(rng, rng.randint(20, 120), rng.choice([1, 2, 3])) for _ in range(8)]
+    texts += [text_from_symbols([0] * 80), text_from_symbols(fibonacci(90))]
+    want = [[_sampled(t, k) for k in (0, 2, 5)] for t in texts]
+    want_m = [mgrs(t, 3) for t in texts]
+    monkeypatch.setattr(repeats, "_ROUND_CELLS", 40)
+    assert [[_sampled(t, k) for k in (0, 2, 5)] for t in texts] == want
+    assert [mgrs(t, 3) for t in texts] == want_m
+
+
+def test_generalised_runs_are_zero_runs():
+    for t in _sampled_corpus():
+        want = [(r.a, r.b, r.ell) for r in k_runs(t, 0)]
+        assert [(g.x, g.y, g.p) for g in generalised_runs(t)] == want
+        assert [(g.x, g.y, g.p) for g in generalised_runs(t, range(2, 5))] == [
+            r for r in want if 2 <= r[2] <= 4
+        ]
+
+
+def test_bounded_mgrs_filter_unbounded():
+    alphas = (1, 2, 3, Fraction(5, 2), 2.7, 0.5, 100)
+    for t in _sampled_corpus() + [random_text(random.Random(18), 1200, 2)]:
+        all_m = mgrs(t)
+        for alpha in alphas:
+            bound = Fraction(alpha)
+            assert mgrs(t, alpha) == [m for m in all_m if m.ell <= bound * m.arm_len]
+        assert mgrs(t, 3, periods=range(4, 9)) == [
+            m for m in all_m if 4 <= m.ell <= 8 and m.ell <= 3 * m.arm_len
+        ]
+
+
+def test_shared_jump_index():
+    """One jump_index serves every sampled enumerator and every k; an index
+    of another text is refused, also one of the same length."""
+    t = random_text(random.Random(19), 150, 3)
+    jumps = repeats.jump_index(t)
+    for k in (0, 2, 3):
+        assert _sampled(t, k, index=jumps) == _sampled(t, k)
+    assert generalised_runs(t, index=jumps) == generalised_runs(t)
+    assert mgrs(t, 2, index=jumps) == mgrs(t, 2)
+    assert k_runs(t.symbols, 1, index=jumps) == k_runs(t, 1)
+    other = random_text(random.Random(20), 150, 3)
+    for wrong in (t.reversed().symbols[1:], t.reversed(), other):
+        for run in (k_runs, uniform_k_runs, count_uniform_k_runs):
+            with pytest.raises(ValueError):
+                run(t, 1, index=repeats.jump_index(wrong))
+        with pytest.raises(ValueError):
+            mgrs(t, 2, index=repeats.jump_index(wrong))
+    with pytest.raises(ValueError):
+        k_runs(t, 1, index=ScerIndex(t, "exact"))
