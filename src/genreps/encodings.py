@@ -93,21 +93,20 @@ class ParamEncoder(_ClipEncoder):
 
 
 def _nearest_before(text: Text, strict: bool) -> np.ndarray:
-    """nearest[j]: largest m < j with T[m] <= T[j] (or < for strict), 0 if none."""
+    """nearest[j]: largest m < j with T[m] <= T[j] (or < for strict), 0 if none.
+
+    One previous-smaller search over the keys T[m] * (n+1) + m (- m for
+    strict): for m < j, key[m] < key[j] exactly when T[m] <= T[j] (or <),
+    and the pad T[0] = -1 keys below every position, so none reads as 0.
+    """
+    from .index import _MinTable  # the index module imports this one
+
     n = text.n
-    s = text.padded
-    out = np.zeros(n + 1, dtype=np.int64)
-    stack: list[int] = []
-    for j in range(1, n + 1):
-        v = s[j]
-        if strict:
-            while stack and s[stack[-1]] >= v:
-                stack.pop()
-        else:
-            while stack and s[stack[-1]] > v:
-                stack.pop()
-        out[j] = stack[-1] if stack else 0
-        stack.append(j)
+    m = np.arange(n + 1)
+    key = text.padded_np * (n + 1)
+    key += -m if strict else m
+    out = _MinTable(key).prev_smaller(m)
+    out[0] = 0
     return out
 
 

@@ -18,11 +18,14 @@ doubling from a packed first key (h0 symbols per int64) with one argsort
 per round, and lifts each adjacent LCP down the rounds' rank levels.
 Every other relation takes one block sort, a level-synchronous MSD radix
 sort that asks the encoder for blocks of code columns
-(`Encoder.code_block`) of all still-tied suffixes, lexsorts them within
-their tie groups, and writes each adjacent LCP where a tied pair first
-differs.  It carries no LCP from one suffix to the next (Kasai's carry),
-since that is unsound for window-clipped encodings.  Each path makes the
-three arrays once; nothing downstream converts them again.
+(`Encoder.code_block`) of all still-tied suffixes, packs each block into
+a few int64 words per suffix (as many code + 1 slots per word as fit in
+62 bits), sorts the words within their tie groups by one argsort or one
+lexsort, and writes each adjacent LCP at the leading differing slot of
+the first word where a tied pair differs.  It carries no LCP from one
+suffix to the next (Kasai's carry), since that is unsound for
+window-clipped encodings.  Each path makes the three arrays once;
+nothing downstream converts them again.
 """
 
 from __future__ import annotations
@@ -115,11 +118,12 @@ def _block_sort(encoder: Encoder, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Suffix order and adjacent LCPs by a level-synchronous MSD block sort.
 
     Every round reads one block of code columns t0..t0+depth-1 for all
-    suffixes still tied on columns 0..t0-1, lexsorts them keyed on (tie
-    group, block), and sets lcp = t0 + the first differing column for each
-    adjacent pair of a group that the block separates.  Pairs equal on the
-    whole block stay tied.  A suffix's end-marker (-1) differs from any
-    code, so two distinct suffixes never tie past the shorter one's end.
+    suffixes still tied on columns 0..t0-1, sorts them keyed on (tie
+    group, block) by packed words (`_sort_block`), and sets lcp = t0 + the
+    first differing column for each adjacent pair of a group that the
+    block separates.  Pairs equal on the whole block stay tied.  A
+    suffix's end-marker (-1) differs from any code, so two distinct
+    suffixes never tie past the shorter one's end.
     """
     order = np.arange(1, n + 2, dtype=np.int64)  # the empty suffix n+1 sorts first
     lcp = np.zeros(n + 1, dtype=np.int64)
@@ -132,14 +136,9 @@ def _block_sort(encoder: Encoder, n: int) -> tuple[np.ndarray, np.ndarray]:
         # columns the longest tied suffix has left
         width = n + 1 - int(starts.min()) - t0
         depth = min(t0 + _START_DEPTH, max(1, _ROUND_CELLS // len(pos)), width)
-        block = encoder.code_block(starts, t0, depth)
-        perm = np.lexsort((*block.T[::-1], group))
-        block = block[perm]
+        perm, same, split, col = _sort_block(encoder.code_block(starts, t0, depth), group)
         order[pos] = starts[perm]
-        neq = block[1:] != block[:-1]
-        same = group[1:] == group[:-1]
-        split = same & neq.any(axis=1)
-        lcp[pos[1:][split]] = t0 + neq[split].argmax(axis=1)
+        lcp[pos[1:][split]] = t0 + col
         tie = same & ~split
         keep = np.concatenate(([False], tie)) | np.concatenate((tie, [False]))
         first = keep & ~np.concatenate(([False], tie))
@@ -147,6 +146,74 @@ def _block_sort(encoder: Encoder, n: int) -> tuple[np.ndarray, np.ndarray]:
         pos = pos[keep]
         t0 += depth
     return order, lcp
+
+
+def _sort_block(block: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sort the rows of a code block keyed on (group, row) by packed words.
+
+    Each row packs into int64 words: code + 1 (so the end-marker is 0) in
+    `b` bits, b the bit length of the largest one, goes in slot c % per
+    of word c // per, the first column in the highest slot, and a last
+    word with fewer columns leaves its low slots 0.  Words compare as the
+    columns they hold, and the leading set bit of the xor of two words
+    lies in their first differing slot.  The block, which the caller no
+    longer holds, is dropped once packed.  One word and the group fit in
+    one key when the group's bit length plus per * b is at most 63; then
+    one argsort orders the rows, and otherwise one lexsort over (words...,
+    group) does.
+
+    Returns the permutation, for each adjacent pair of sorted rows whether
+    it lies in one group (`same`) and whether its rows differ there
+    (`split`), and the first differing column of each split pair.
+    """
+    m, depth = block.shape
+    b = max(1, (int(block.max()) + 1).bit_length())
+    per = min(depth, max(1, 62 // b))
+    # slot k of a word holds its column times 2 ** ((per - 1 - k) * b): the
+    # slots' bits are disjoint, so one multiply-and-sum shifts and ORs them
+    full = depth // per
+    scale = np.left_shift(1, (per - 1 - np.arange(per)) * b)
+    words = np.empty((m, -(-depth // per)), dtype=np.int64)
+    np.einsum("ijk,k->ij", block[:, : full * per].reshape(m, full, per), scale, out=words[:, :full])
+    if full < words.shape[1]:
+        np.einsum("ij,j->i", block[:, full * per :], scale[: depth - full * per], out=words[:, full])
+    del block
+    # code + 1 in every slot
+    words[:, :full] += scale.sum()
+    words[:, full:] += scale[: depth - full * per].sum()
+    w = None
+    if words.shape[1] == 1 and int(group[-1]).bit_length() + per * b <= 63:
+        key = group << (per * b)
+        key |= words[:, 0]
+        del words
+        perm = np.argsort(key)
+        key = key[perm]
+        # two keys xor below 1 << (per * b) exactly when their groups
+        # agree, and the xor is then that of their words
+        x = key[1:] ^ key[:-1]
+        del key
+        same = x < 1 << (per * b)
+    else:
+        perm = np.lexsort((*words.T[::-1], group))
+        words = np.take(words, perm, axis=0)
+        x = words[1:] ^ words[:-1]
+        del words
+        w = (x != 0).argmax(axis=1)  # the first differing word, 0 if none
+        x = x[np.arange(m - 1), w]
+        same = group[1:] == group[:-1]
+    split = same & (x != 0)
+    col = (per * b - _bit_length(x[split])) // b
+    if w is not None:
+        col += w[split] * per
+    return perm, same, split, col
+
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """Bit length of each non-negative int64, exactly: a float rounds
+    2**k - 1 up to 2**k above 2**53, so frexp reads x >> 31 when x has
+    more than 31 bits."""
+    top = (x >> 31 > 0) * 31
+    return np.frexp(x >> top)[1] + top
 
 
 def _exact_sort(text: Text) -> tuple[np.ndarray, np.ndarray]:
@@ -182,10 +249,7 @@ def _exact_sort(text: Text) -> tuple[np.ndarray, np.ndarray]:
     for level in reversed(levels):
         h >>= 1
         np.add(lcp, h, out=lcp, where=level[a + lcp] == level[b + lcp])
-    x = key[a + lcp] ^ key[b + lcp]
-    # bit length of x, exactly: frexp is exact below 2**53, so shift first
-    top = (x >> 31 > 0) * 31
-    lcp += h0 - 1 - (np.frexp(x >> top)[1] + top - 1) // bits
+    lcp += h0 - 1 - (_bit_length(key[a + lcp] ^ key[b + lcp]) - 1) // bits
     return np.concatenate(([n + 1], order + 1)), np.concatenate(([0, 0], lcp))
 
 

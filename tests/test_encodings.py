@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from conftest import fibonacci, random_text
-from genreps import oracle
+from genreps import encodings, oracle
 from genreps.encodings import (
     RELATIONS,
     make_encoder,
@@ -263,3 +264,30 @@ def test_code_block_matches_oracle(relation):
             want = [(rows[s] + [-1] * (depth + t0))[t0 : t0 + depth] for s in starts.tolist()]
             got = enc.code_block(starts, t0, depth)
             assert got.tolist() == want, (t.symbols, starts.tolist(), t0, depth)
+
+
+def _stack_nearest(syms, strict):
+    """Cartesian-tree anchors by the stack definition: for each 1-based j,
+    the largest m < j with T[m] <= T[j] (< when strict), 0 if none."""
+    s = [-1, *syms]
+    out, stack = [0] * len(s), []
+    for j in range(1, len(s)):
+        while stack and (s[stack[-1]] >= s[j] if strict else s[stack[-1]] > s[j]):
+            stack.pop()
+        out[j] = stack[-1] if stack else 0
+        stack.append(j)
+    return out
+
+
+def test_nearest_before_matches_stack():
+    """Every word up to n = 3 over three symbols (ties, sigma = 1, n in
+    {0, 1, 2}), unary texts and random texts, strict and non-strict."""
+    rng = random.Random(44)
+    texts = [list(w) for n in range(4) for w in itertools.product(range(3), repeat=n)]
+    texts += [[0] * n for n in (17, 64, 65)]
+    texts += [[rng.randrange(s) for _ in range(rng.randint(0, 300))] for s in (1, 2, 3, 26, 10**6) for _ in range(8)]
+    for syms in texts:
+        t = text_from_symbols(syms)
+        for strict in (False, True):
+            got = encodings._nearest_before(t, strict)
+            assert got.tolist() == _stack_nearest(t.symbols, strict), (syms, strict)

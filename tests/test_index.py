@@ -7,7 +7,7 @@ import pytest
 
 from conftest import fibonacci, random_text
 from genreps import index, oracle
-from genreps.encodings import RELATIONS, make_encoder
+from genreps.encodings import RELATIONS, Encoder, make_encoder
 from genreps.index import ScerIndex, TreeView
 from genreps.text import parse_text, text_from_symbols
 
@@ -331,6 +331,79 @@ def test_block_sort_narrow_rounds(monkeypatch):
             order, lcp = _reference(t, rel)
             assert list(idx.order) == order, (rel, t.symbols)
             assert list(idx.lcp) == lcp, (rel, t.symbols)
+
+
+class _ScaledEncoder(Encoder):
+    """Exact matching with each symbol c coded as c * 2**k + offset: wide
+    codes for the block sort, which does not know it is exact."""
+
+    relation = "scaled"
+
+    def __init__(self, text, k, offset):
+        super().__init__(text)
+        self.k, self.offset = k, offset
+
+    def code_block(self, starts, t0, depth):
+        n = self.text.n
+        j = np.asarray(starts, dtype=np.int64)[:, None] + np.arange(t0, t0 + depth)
+        codes = (self.text.padded_np[np.minimum(j, n)] << self.k) + self.offset
+        return np.where(j <= n, codes, -1)
+
+
+def _scaled_reference(syms, k, offset):
+    """Order and adjacent LCPs from one lexsort over the materialized rows:
+    row i - 1 holds the codes of T[i..n], then end-markers (-1)."""
+    n = len(syms)
+    rows = np.full((n + 1, n + 1), -1, dtype=np.int64)
+    for i in range(n):
+        rows[i, : n - i] = [(c << k) + offset for c in syms[i:]]
+    perm = np.lexsort(rows.T[::-1])
+    neq = rows[perm[1:]] != rows[perm[:-1]]
+    return (perm + 1).tolist(), [0, *neq.argmax(axis=1).tolist()]
+
+
+@pytest.mark.parametrize("bits", [1, 2, 31, 32, 62])
+def test_block_sort_packed_slot_widths(monkeypatch, bits):
+    """Codes of 1, 2, 31, 32 and 62 bits (code + 1, at both ends of each
+    width), so a word holds from 62 slots down to one.  The start depths
+    give rounds whose depth is and is not a multiple of the slots per
+    word; periodic texts tie across whole words, and suffixes end inside
+    a word.  The last setting is one column per round under a 16-cell
+    budget."""
+    if bits == 1:
+        params = [(1, 0, 0)]
+    elif bits == 2:
+        params = [(2, 0, 0), (3, 0, 0)]
+    else:
+        k = bits - 2
+        params = [(2, k + 1, 0), (2, k + 1, (1 << (k + 1)) - 2), (4, k, 0)]
+    rng = random.Random(bits)
+    for sigma, k, offset in params:
+        assert (((sigma - 1) << k) + offset + 1).bit_length() == bits
+        texts = [[0] * n for n in (0, 1, 2, 61, 62, 63, 130)]
+        if sigma > 1:
+            texts.append(list(range(sigma)) * 30)  # every symbol, so the widest code occurs
+            texts += [[rng.randrange(sigma) for _ in range(rng.randint(1, 140))] for _ in range(6)]
+            for period in (2, 3, 5):
+                unit = [rng.randrange(sigma) for _ in range(period)]
+                texts.append((unit * 40)[: rng.randint(60, 120)] + [rng.randrange(sigma) for _ in range(3)])
+        for start, cells in ((24, 1 << 17), (5, 1 << 17), (31, 1 << 17), (62, 1 << 17), (1, 16)):
+            monkeypatch.setattr(index, "_START_DEPTH", start)
+            monkeypatch.setattr(index, "_ROUND_CELLS", cells)
+            for syms in texts:
+                t = text_from_symbols(syms)
+                idx = ScerIndex(t, encoder=_ScaledEncoder(t, k, offset))
+                order, lcp = _scaled_reference(t.symbols, k, offset)
+                assert idx.order.tolist() == order, (sigma, k, start, syms)
+                assert idx.lcp.tolist() == lcp, (sigma, k, start, syms)
+
+
+def test_bit_length_exact():
+    """Around every power of two that fits in an int64, where a float
+    rounds 2**k - 1 up to 2**k once k > 53."""
+    vals = [0, *(v for k in range(63) for v in ((1 << k) - 1, 1 << k, (1 << k) + 1)), (1 << 63) - 1]
+    got = index._bit_length(np.array(vals, dtype=np.int64))
+    assert got.tolist() == [v.bit_length() for v in vals]
 
 
 @pytest.mark.parametrize(
