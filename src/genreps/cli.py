@@ -29,13 +29,6 @@ from .index import ScerIndex
 from .text import Text, parse_text, text_from_symbols
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("GENREPS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _int_list(spec: str) -> list[int]:
     return [int(x) for x in spec.split(",")]
 
@@ -72,6 +65,20 @@ def _check_ranges(*checks) -> None:
     for flag, values, least in checks:
         if min(values) < least:
             raise ValueError(f"{flag} must be >= {least}, got {min(values)}")
+
+
+def _threads(args) -> int:
+    """--threads, else GENREPS_THREADS read now, else 1; a usage error naming
+    the one that is set unless it is an integer >= 1."""
+    if args.threads is not None:
+        _check_ranges(("--threads", [args.threads], 1))
+        return args.threads
+    spec = os.environ.get("GENREPS_THREADS")
+    if spec is None:
+        return 1
+    threads = _parse_flag("GENREPS_THREADS", spec, int, "an integer")
+    _check_ranges(("GENREPS_THREADS", [threads], 1))
+    return threads
 
 
 def _read_text(args) -> Text:
@@ -292,8 +299,8 @@ def cmd_bounds(args) -> int:
         ("--k-list", ks, 0),
         ("--sigma-list", sigmas, 1),
         ("--trials", [args.trials], 1),
-        ("--threads", [args.threads], 1),
     )
+    threads = _threads(args)
     print(",".join(_BOUNDS_COLS))
     jobs = [
         (n, k, sigma, trial, args.seed, metrics)
@@ -302,7 +309,7 @@ def cmd_bounds(args) -> int:
         for sigma in sigmas
         for trial in range(args.trials)
     ]
-    rows = _starmap(_bounds_row, jobs, args.threads)
+    rows = _starmap(_bounds_row, jobs, threads)
     for row in rows:
         print(",".join(row))
     return 0
@@ -328,10 +335,10 @@ def cmd_verify(args) -> int:
         ("--max-n", [args.max_n], 0),
         ("--sigma-list", sigmas, 1),
         ("--k-list", ks, 0),
-        ("--threads", [args.threads], 1),
     )
+    threads = _threads(args)
     jobs = [(trial, args.seed, args.max_n, sigmas, ks) for trial in range(args.trials)]
-    results = _starmap(_verify_trial, jobs, args.threads)
+    results = _starmap(_verify_trial, jobs, threads)
     failures = [msg for msgs in results for msg in msgs]
     suites = sorted({msg.split(":")[0] for msg in failures})
     print(f"texts\t{args.trials}")
@@ -349,6 +356,8 @@ _K_HELP = (
     "paper's O(nk log k) bound on their number is informative only for k log k "
     "well below n (see the README for timings as k grows)"
 )
+
+_THREADS_HELP = "worker processes (default: GENREPS_THREADS when set, else 1)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--metrics", default="runs,mgr,gruns")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="compare efficient paths against oracles")
@@ -405,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-list", default="2,3,4,5")
     p.add_argument("--k-list", default="0,1,2,3,4")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.set_defaults(func=cmd_verify)
 
     return parser

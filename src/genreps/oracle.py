@@ -574,16 +574,16 @@ def verify_text(t: Text, ks=(0, 1, 2, 3, 4), relations=("exact", "param", "op", 
         fails.append("mgrs mismatch")
 
     exact_index = ScerIndex(t, "exact")
-    param_index = None
+    param_index = param_table = None
     for relation in relations:
         index = exact_index if relation == "exact" else ScerIndex(t, relation)
-        if relation == "param":
-            param_index = index
         try:
             table = counting.squares_table(index)
         except AssertionError as exc:
             fails.append(f"squares_table {relation}: {exc}")
             continue
+        if relation == "param":
+            param_index, param_table = index, table
         members = brute_squares_members(t, relation)
         got_members = {
             p: table.positions(p) for p in table.intervals if table.positions(p)
@@ -608,7 +608,13 @@ def verify_text(t: Text, ks=(0, 1, 2, 3, 4), relations=("exact", "param", "op", 
         if got_ne != naive_rangecount_sum(table.intervals, index.lpf(), n):
             fails.append(f"sweep {relation}: differs from naive range-count sum")
 
-    report = psquares.report_nonequivalent(t, index=param_index)
+    if param_table is None and "param" in relations:
+        return fails  # the failed param table is listed above
+    # both reports read the param table and the indexes built above
+    report = psquares.report_nonequivalent(t, index=param_index, table=param_table)
     if report.occurrences != brute_nonequivalent_leftmost(t, "param"):
         fails.append("report_nonequivalent(param): occurrence list differs")
+    report = psquares.report_distinct(t, exact_index=exact_index, table=param_table)
+    if report.occurrences != brute_distinct_leftmost(t, "param"):
+        fails.append("report_distinct(param): occurrence list differs")
     return fails

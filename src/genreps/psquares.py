@@ -1,15 +1,25 @@
-"""Reporting parameterized squares via recency profiles.
+"""Reporting parameterized squares from the square table.
 
-Every p-square start of half-length l must lie both in a uniform
-sigma-run of the forward profile and (after mirroring) in one of the
-reversed backward profile; intersecting those start intervals gives
-candidate intervals that are homogeneous: either every position in a
-candidate interval starts a p-square of that length, or none does, and one
-longest-common-prefix query on the left endpoint decides which.
-Leftmost-occurrence reporting then splits the verified intervals
-recursively at minima of a longest-previous-factor array, read from one
-sparse table over the packed keys lpf[i]·m + i: a range's minimum key
-names both its smallest LPF and the leftmost position holding it.
+The reports read the p-square starts from the param square table of
+`counting.squares_table`, the count pipeline's maximal intervals per
+half-length: O(n log n) rows in all.  Building it takes the param index
+of the text and of its reverse, whose suffix sort reads Θ(sum of LCPs)
+code cells, so periodic texts cost more.
+Leftmost-occurrence reporting splits those intervals recursively at
+minima of a longest-previous-factor array, read from one sparse table
+over the packed keys lpf[i]·m + i: a range's minimum key names both its
+smallest LPF and the leftmost position holding it.  The output is
+{(i, 2l) : i starts a p-square of half-length l, lpf[i] < 2l}, so any
+family of intervals with the same starts gives the same report.
+
+The paper's O(n sigma log sigma) construction from the recency profiles
+stays as the reference, checked against the table in the tests: every
+p-square start of half-length l lies both in a uniform sigma-run of the
+forward profile and (after mirroring) in one of the reversed backward
+profile; intersecting those start intervals gives candidate intervals
+that are homogeneous (either every position in one starts a p-square of
+that length, or none does), and one longest-common-prefix query on the
+left endpoint decides which (`candidate_intervals`, `verify_intervals`).
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import _family, _flatten
+from .counting import SquaresTable, _family, _flatten, squares_table
 from .encodings import profiles
 from .index import ScerIndex, _MinTable
 from .repeats import uniform_start_intervals
@@ -27,11 +37,14 @@ from .text import Text
 
 @dataclass(frozen=True)
 class PSquareReport:
-    """Verified start intervals per half-length, plus reported occurrences.
+    """P-square start intervals per half-length, plus reported occurrences.
 
-    Each occurrence (start, length) is the leftmost occurrence of its
-    class: of its parameterized-equivalence class for the non-equivalent
-    report, of its exact string for the distinct report.
+    periods[l] holds the maximal intervals of p-square starts of
+    half-length l, the param square table's rows (disjoint, non-adjacent,
+    sorted by lo).  Each occurrence (start, length) is the leftmost
+    occurrence of its class: of its parameterized-equivalence class for
+    the non-equivalent report, of its exact string for the distinct
+    report.
     """
 
     periods: dict[int, np.ndarray]
@@ -104,7 +117,7 @@ def verify_intervals(
 
 
 def _report_from_intervals(
-    verified: dict[int, list[tuple[int, int]]], lpf: np.ndarray
+    family: dict[int, np.ndarray], lpf: np.ndarray
 ) -> list[tuple[int, int]]:
     """Positions whose previous-factor length is shorter than the square:
     recursive range-minimum splitting, one report per fresh occurrence.
@@ -112,9 +125,9 @@ def _report_from_intervals(
     One sparse table over the packed keys lpf[i]·m + i (m = len(lpf))
     gives a range's smallest LPF and its leftmost position at once, and
     lpf[i] < 2l exactly when the key is below 2l·m.  One batch query drops
-    every piece whose minimum is not below that; only the rest split.
+    every interval whose minimum is not below that; only the rest split.
     """
-    ell, lo, hi = _flatten(verified)
+    ell, lo, hi = _flatten(family)
     if not len(lo):
         return []
     m = len(lpf)
@@ -140,27 +153,51 @@ def _report_from_intervals(
     return out
 
 
-def report_nonequivalent(t: Text, index: ScerIndex | None = None) -> PSquareReport:
-    """All non-equivalent p-squares, each at its leftmost occurrence."""
-    if index is None and t.n >= 2:
-        index = ScerIndex(t, "param")
-    if t.n < 2:
-        return PSquareReport({}, [])
-    verified = verify_intervals(t, index=index)
-    occs = _report_from_intervals(verified, index.lpf())
-    return PSquareReport(verified, occs)
+def _check_table(t: Text, table: SquaresTable | None) -> None:
+    """ValueError unless table is None or the param square table of a
+    text as long as t."""
+    if table is not None and (table.relation != "param" or table.n != t.n):
+        raise ValueError(
+            f"need the param square table of a text of length {t.n}, "
+            f"got a {table.relation} table of length {table.n}"
+        )
 
 
-def report_distinct(
-    t: Text, index: ScerIndex | None = None, exact_index: ScerIndex | None = None
+def report_nonequivalent(
+    t: Text, index: ScerIndex | None = None, *, table: SquaresTable | None = None
 ) -> PSquareReport:
-    """All p-squares distinct as strings, each at its leftmost occurrence."""
+    """All non-equivalent p-squares, each at its leftmost occurrence.
+
+    `index` is the param index of t and `table` its square table; each is
+    built when not given.
+    """
+    _check_table(t, table)
     if t.n < 2:
         return PSquareReport({}, [])
     if index is None:
         index = ScerIndex(t, "param")
+    if table is None:
+        table = squares_table(index)
+    return PSquareReport(table.intervals, _report_from_intervals(table.intervals, index.lpf()))
+
+
+def report_distinct(
+    t: Text,
+    index: ScerIndex | None = None,
+    exact_index: ScerIndex | None = None,
+    *,
+    table: SquaresTable | None = None,
+) -> PSquareReport:
+    """All p-squares distinct as strings, each at its leftmost occurrence.
+
+    `table` is the param square table of t, built from the param `index`
+    when not given, and `exact_index` the exact index of t.
+    """
+    _check_table(t, table)
+    if t.n < 2:
+        return PSquareReport({}, [])
+    if table is None:
+        table = squares_table(index if index is not None else ScerIndex(t, "param"))
     if exact_index is None:
         exact_index = ScerIndex(t, "exact")
-    verified = verify_intervals(t, index=index)
-    occs = _report_from_intervals(verified, exact_index.lpf())
-    return PSquareReport(verified, occs)
+    return PSquareReport(table.intervals, _report_from_intervals(table.intervals, exact_index.lpf()))

@@ -38,8 +38,9 @@ every (period, start) cell, so they are meant for small k, the paper's
 regime: its O(nk log k) bound on the runs is informative only for k log k
 well below n.  Two paths keep one numpy scan per period over d: unbounded
 MGRs, whose Θ(n^2) output on random text sampling cannot beat, and
-`uniform_start_intervals`, which `psquares.candidate_intervals` calls with
-k = sigma, where the sampled cut step does not yet pay.  Records store
+`uniform_start_intervals`, which the reference p-square construction
+`psquares.candidate_intervals` calls with k = sigma (the p-square reports
+read the param square table instead).  Records store
 fragments as half-open [a..b); reported positions are 1-based.  Functions
 accept a Text or any integer sequence (a 1-based one padded with -1 at
 index 0 is used as is), and the sampled ones an optional `jump_index` of

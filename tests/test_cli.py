@@ -335,3 +335,33 @@ def test_pool_capped_at_job_count(monkeypatch, capsys):
     assert cli.main(args) == 0
     assert sizes == [1]
     assert len(capsys.readouterr().out.strip().split("\n")) == 2
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+@pytest.mark.parametrize("value", ["0", "-4", "abc", "2.5", ""])
+def test_bad_threads_env_rejected(command, value, monkeypatch, capsys):
+    """A set GENREPS_THREADS that is not an integer >= 1 is a usage error
+    naming it, as a bad --threads is, before any output."""
+    from genreps import cli
+
+    monkeypatch.setenv("GENREPS_THREADS", value)
+    assert cli.main([command, "--sigma-list", "2", "--k-list", "1", "--trials", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: GENREPS_THREADS ")
+
+
+def test_threads_env_read_when_command_runs(monkeypatch, capsys):
+    """GENREPS_THREADS is read when the command runs, not when the parser
+    is built, and --threads overrides it."""
+    from genreps import cli
+
+    monkeypatch.delenv("GENREPS_THREADS", raising=False)
+    parser = cli.build_parser()
+    monkeypatch.setenv("GENREPS_THREADS", "3")
+    assert cli._threads(parser.parse_args(["verify"])) == 3
+    assert cli._threads(parser.parse_args(["bounds", "--threads", "2"])) == 2
+    monkeypatch.setenv("GENREPS_THREADS", "abc")
+    assert cli._threads(parser.parse_args(["verify", "--threads", "1"])) == 1
+    monkeypatch.delenv("GENREPS_THREADS")
+    assert cli._threads(parser.parse_args(["bounds"])) == 1

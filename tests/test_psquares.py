@@ -6,9 +6,11 @@ import pytest
 
 from conftest import fibonacci, random_text
 from genreps import oracle
-from genreps.index import ScerIndex
+from genreps.counting import squares_table
+from genreps.index import ScerIndex, _MinTable
 from genreps.psquares import (
     _intersect_pieces,
+    _report_from_intervals,
     candidate_intervals,
     report_distinct,
     report_nonequivalent,
@@ -206,3 +208,95 @@ def test_report_order_deterministic():
     t = parse_text(b"abaababaab")
     occ = report_nonequivalent(t).occurrences
     assert occ == sorted(occ, key=lambda o: (o[1], o[0]))
+
+
+def _table_corpus():
+    """Random texts (sigma in 1, 2, 3, 4, 26; n <= 300) and unary,
+    period-2/3, Fibonacci, Thue-Morse and decreasing texts to n=2000."""
+    rng = random.Random(14)
+    texts = [random_text(rng, rng.randint(0, 300), sigma) for sigma in (1, 2, 3, 4, 26) for _ in range(12)]
+    for n in (2, 3, 17, 64, 257, 2000):
+        texts += [
+            text_from_symbols(sym)
+            for sym in (
+                [0] * n,
+                [i % 2 for i in range(n)],
+                [i % 3 for i in range(n)],
+                fibonacci(n),
+                [bin(i).count("1") % 2 for i in range(n)],
+                list(range(n, 0, -1)),
+            )
+        ]
+    return texts
+
+
+def test_table_equals_reference_construction():
+    """The param square table holds exactly the starts that the paper's
+    profile construction (candidates, then verification) finds."""
+    for t in _table_corpus():
+        table = squares_table(ScerIndex(t, "param"))
+        verified = verify_intervals(t, candidate_intervals(t))
+        for ell in range(1, t.n // 2 + 1):
+            assert sorted(_cand_positions(verified, ell)) == table.positions(ell), (t.symbols, ell)
+
+
+def test_report_reads_the_given_table():
+    """A passed table is the report's only source of starts, and its
+    periods are the table's maximal intervals."""
+    rng = random.Random(8)
+    for _ in range(10):
+        t = random_text(rng, rng.randint(2, 120), rng.choice([2, 3, 4]))
+        index = ScerIndex(t, "param")
+        table = squares_table(index)
+        rep = report_nonequivalent(t, index, table=table)
+        assert rep.periods is table.intervals
+        assert rep.occurrences == report_nonequivalent(t).occurrences
+        rep = report_distinct(t, exact_index=ScerIndex(t, "exact"), table=table)
+        assert rep.periods is table.intervals
+        assert rep.occurrences == report_distinct(t).occurrences
+
+
+@pytest.mark.parametrize("report", [report_nonequivalent, report_distinct])
+def test_report_rejects_foreign_table(report):
+    """A table of another relation or of a text of another length is a
+    ValueError, also for texts too short to hold a square."""
+    t = parse_text(b"abaabab")
+    foreign = [
+        squares_table(ScerIndex(t, "exact")),
+        squares_table(ScerIndex(t, "op")),
+        squares_table(ScerIndex(parse_text(b"abaababa"), "param")),
+    ]
+    for table in foreign:
+        with pytest.raises(ValueError, match="param square table"):
+            report(t, table=table)
+    with pytest.raises(ValueError, match="param square table"):
+        report(parse_text(b"a"), table=foreign[2])
+    assert report(t, table=squares_table(ScerIndex(t, "param"))).count > 0
+
+
+def test_report_split_work_follows_output(monkeypatch):
+    """The split makes at most 3 scalar RMQ queries per reported square:
+    every interval kept by the batch query reports at least once, and
+    each report pushes two ranges."""
+    rng = random.Random(10)
+    texts = [random_text(rng, rng.randint(2, 400), rng.choice([2, 3, 4, 26])) for _ in range(15)]
+    texts += [text_from_symbols(sym) for n in (50, 300) for sym in ([0] * n, [i % 3 for i in range(n)], fibonacci(n))]
+    calls = [0]
+    query = _MinTable.query
+
+    def counted(self, lo, hi):
+        calls[0] += 1
+        return query(self, lo, hi)
+
+    total = 0
+    for t in texts:
+        index = ScerIndex(t, "param")
+        table = squares_table(index)
+        for lpf in (index.lpf(), ScerIndex(t, "exact").lpf()):
+            calls[0] = 0
+            with monkeypatch.context() as m:
+                m.setattr(_MinTable, "query", counted)
+                occs = _report_from_intervals(table.intervals, lpf)
+            assert 0 < calls[0] <= 3 * len(occs), (t.symbols, calls[0], len(occs))
+            total += len(occs)
+    assert total > 0
