@@ -23,8 +23,7 @@ from .encodings import (
     profiles,
     scer_match,
 )
-from .index import ScerIndex, TreeView
-from .oracle import CursorCounter
+from .index import ScerIndex
 from .psquares import (
     PSquareReport,
     candidate_intervals,
@@ -50,7 +49,6 @@ from .text import Text, parse_text, prev_array, text_from_symbols
 __version__ = "0.1.0"
 
 __all__ = [
-    "CursorCounter",
     "Encoder",
     "GeneralisedRun",
     "KRun",
@@ -61,7 +59,6 @@ __all__ = [
     "ScerIndex",
     "SquaresTable",
     "Text",
-    "TreeView",
     "UniformKRun",
     "candidate_intervals",
     "count_distinct",

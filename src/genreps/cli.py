@@ -160,8 +160,9 @@ def cmd_gruns(args) -> int:
 def cmd_psquares(args) -> int:
     t = _read_text(args)
     if args.mode == "classes":
-        report = psquares.report_nonequivalent(t)
-        enc = ParamEncoder(t) if t.n else None
+        table = counting.squares_table(ScerIndex(t, encoder=ParamEncoder(t)))
+        report = psquares.report_nonequivalent(t, table=table)
+        enc = table.index.encoder
         # occurrences come sorted by length: one code block per length
         for length, occs in itertools.groupby(report.occurrences, key=lambda oc: oc[1]):
             starts = [start for start, _ in occs]
@@ -187,22 +188,15 @@ def cmd_count(args) -> int:
     exact_index = None  # exact comes first in RELATIONS: one exact index per run
     for relation in rels:
         t0 = time.perf_counter()
-        if t.n < 2:
-            cnt, size, osc = 0, 0, 0
+        table = counting.squares_table(ScerIndex(t, relation))
+        if relation == "exact":
+            exact_index = table.index
+        osc = int(np.abs(np.diff(table.index.lpf()[1:])).sum())
+        if args.distinct:
+            cnt = counting.count_distinct(t, relation, table=table, exact_index=exact_index)
         else:
-            index = ScerIndex(t, relation)
-            if relation == "exact":
-                exact_index = index
-            table = counting.squares_table(index)
-            lpf = index.lpf()
-            osc = int(np.abs(np.diff(lpf[1:])).sum())
-            if args.distinct:
-                cnt = counting.count_distinct(
-                    t, relation, index=index, table=table, exact_index=exact_index
-                )
-            else:
-                cnt = counting.count_nonequivalent(t, relation, index=index, table=table)
-            size = table.size
+            cnt = counting.count_nonequivalent(t, relation, table=table)
+        size = table.size
         wall = time.perf_counter() - t0
         if args.fmt == "tsv":
             print(f"{relation}\t{cnt}\t{size}\t{osc}\t{wall:.3f}")
@@ -260,13 +254,12 @@ def _bounds_row(n: int, k: int, sigma: int, trial: int, seed: int, metrics) -> l
         row["gruns"] = g
         row["grun_ratio"] = g / (1.5 * n)
     if "table" in metrics or "classes" in metrics:
-        index = ScerIndex(t, "param")
-        table = counting.squares_table(index)
+        table = counting.squares_table(ScerIndex(t, "param"))
         if "table" in metrics:
             row["table_size"] = table.size
             row["table_ratio"] = table.size / (n * math.log2(n)) if n > 1 else ""
         if "classes" in metrics:
-            classes = counting.count_nonequivalent(t, "param", index=index, table=table)
+            classes = counting.count_nonequivalent(t, "param", table=table)
             row["classes"] = classes
             row["class_ratio"] = classes / (n * sigma)
     return [str(row.get(col, "")) for col in _BOUNDS_COLS]

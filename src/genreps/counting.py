@@ -18,7 +18,11 @@ The squares pass from stage to stage as (m, 2) int64 arrays of (i, p)
 rows, and every stage reads the index's order, rank and LCP arrays as
 they are.  A family of square start intervals, here and in
 `genreps.psquares`, is a dict from half-period to a (k, 2) int64 array
-of closed [lo, hi] rows sorted by lo.
+of closed [lo, hi] rows sorted by lo.  A `SquaresTable` holds the
+forward index it was built from, so a caller passes `table=` alone and
+the counts (and the p-square reports) read the relation's LPF from it;
+a table or exact index of another relation or another text is a
+ValueError.
 """
 
 from __future__ import annotations
@@ -174,16 +178,24 @@ def _family(half: np.ndarray, rows: np.ndarray) -> dict[int, np.ndarray]:
 
 @dataclass
 class SquaresTable:
-    """Interval representation of square start positions per half-period.
+    """Interval representation of square start positions per half-period,
+    with the forward index of the text it was built from.
 
     intervals[p] is a (k, 2) int64 array of disjoint, non-adjacent closed
     intervals [l..r] sorted by l: T[i..i+2p) is a square iff some interval
     of intervals[p] contains i.
     """
 
-    n: int
-    relation: str
+    index: ScerIndex
     intervals: dict[int, np.ndarray] = field(default_factory=dict)
+
+    @property
+    def n(self) -> int:
+        return self.index.n
+
+    @property
+    def relation(self) -> str:
+        return self.index.relation
 
     @property
     def size(self) -> int:
@@ -215,27 +227,21 @@ def reversed_index(index: ScerIndex) -> ScerIndex:
     return ScerIndex(rev, REVERSED_RELATION[index.relation])
 
 
-def _nonshiftable_starts(
-    index: ScerIndex, rev_index: ScerIndex | None
-) -> tuple[np.ndarray, np.ndarray]:
+def _nonshiftable_starts(index: ScerIndex) -> tuple[np.ndarray, np.ndarray]:
     """(start, p) arrays of the left and of the right non-shiftable squares.
 
     The left side runs the right-side machinery on the reversed text; a
     square at i with half-period p maps to start n-i-2p+2 there.
     """
-    if rev_index is None:
-        rev_index = reversed_index(index)
     right = right_nonshiftable(index)
-    left = right_nonshiftable(rev_index)
+    left = right_nonshiftable(reversed_index(index))
     left[:, 0] = index.n - left[:, 0] - 2 * left[:, 1] + 2
     return left, right
 
 
-def nonshiftable_sets(
-    index: ScerIndex, rev_index: ScerIndex | None = None
-) -> dict[int, tuple[list[int], list[int]]]:
+def nonshiftable_sets(index: ScerIndex) -> dict[int, tuple[list[int], list[int]]]:
     """Per half-period p: (left non-shiftable starts, right non-shiftable starts)."""
-    left, right = _nonshiftable_starts(index, rev_index)
+    left, right = _nonshiftable_starts(index)
     by_p: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
     for i, p in right.tolist():
         by_p[p][1].append(i)
@@ -244,20 +250,18 @@ def nonshiftable_sets(
     return dict(by_p)
 
 
-def squares_table(
-    index: ScerIndex, rev_index: ScerIndex | None = None
-) -> SquaresTable:
+def squares_table(index: ScerIndex) -> SquaresTable:
     """Pair sorted left/right non-shiftable starts into maximal intervals.
 
     Per half-period p, the k-th smallest left start pairs with the k-th
     smallest right start; both sides are sorted by (p, start) with one
     lexsort each.
     """
-    left, right = _nonshiftable_starts(index, rev_index)
+    left, right = _nonshiftable_starts(index)
     lo, lp = left[np.lexsort((left[:, 0], left[:, 1]))].T
     hi, rp = right[np.lexsort((right[:, 0], right[:, 1]))].T
     _check_pairing(lo, lp, hi, rp)
-    return SquaresTable(index.n, index.relation, _family(rp, np.stack((lo, hi), axis=1)))
+    return SquaresTable(index, _family(rp, np.stack((lo, hi), axis=1)))
 
 
 def _check_pairing(lo: np.ndarray, lp: np.ndarray, hi: np.ndarray, rp: np.ndarray) -> None:
@@ -280,7 +284,7 @@ def _check_pairing(lo: np.ndarray, lp: np.ndarray, hi: np.ndarray, rp: np.ndarra
         raise AssertionError(f"unbalanced interval endpoints for p={p}: {nl} left vs {nr} right")
 
 
-def sweep_count(table: SquaresTable, lpf: np.ndarray, n: int) -> int:
+def sweep_count(table: SquaresTable, lpf: np.ndarray) -> int:
     """Sum over intervals [lo..hi] of half-period p of the number of
     positions k in [lo..hi] with lpf[k] < 2p: the squares of length 2p
     whose leftmost occurrence starts at k.
@@ -289,44 +293,61 @@ def sweep_count(table: SquaresTable, lpf: np.ndarray, n: int) -> int:
     every interval's count_less query in one batch.
     """
     half, lo, hi = _flatten(table.intervals)
-    values = np.asarray(lpf[1 : n + 1], dtype=np.int64)
+    values = np.asarray(lpf[1 : table.n + 1], dtype=np.int64)
     sigma = int(values.max(initial=0)) + 1
     wm = _WaveletMatrix(values, sigma)
     return int(wm.count_less(np.minimum(2 * half, sigma), lo - 1, hi).sum())
 
 
-def count_nonequivalent(
-    t: Text,
-    relation: str,
-    *,
-    index: ScerIndex | None = None,
-    table: SquaresTable | None = None,
-) -> int:
-    """Number of square substrings, counted up to the relation's equivalence."""
-    if t.n < 2:
-        return 0
-    if index is None:
-        index = ScerIndex(t, relation)
+def _check_index(t: Text, relation: str, index: ScerIndex, what: str) -> None:
+    """ValueError unless index is the index of t under the relation."""
+    if index.relation != relation or index.text != t:
+        whose = "this" if index.text == t else "another"
+        raise ValueError(
+            f"need the {relation} {what} of this text, got the {index.relation} {what} of {whose} text"
+        )
+
+
+def _table_for(t: Text, relation: str, table: SquaresTable | None) -> SquaresTable:
+    """The relation's square table of t: `table` once checked, or a new one."""
     if table is None:
-        table = squares_table(index)
-    return sweep_count(table, index.lpf(), t.n)
+        return squares_table(ScerIndex(t, relation))
+    _check_index(t, relation, table.index, "square table")
+    return table
+
+
+def _exact_lpf(t: Text, table: SquaresTable, exact_index: ScerIndex | None) -> np.ndarray:
+    """The LPF of t under equality: from `exact_index` once checked, from
+    an exact table's own index, or from a new index."""
+    if exact_index is not None:
+        _check_index(t, "exact", exact_index, "index")
+    elif table.relation == "exact":
+        exact_index = table.index
+    else:
+        exact_index = ScerIndex(t, "exact")
+    return exact_index.lpf()
+
+
+def count_nonequivalent(t: Text, relation: str, *, table: SquaresTable | None = None) -> int:
+    """Number of square substrings, counted up to the relation's equivalence.
+
+    `table` is the relation's square table of t, built when not given.
+    """
+    table = _table_for(t, relation, table)
+    return sweep_count(table, table.index.lpf())
 
 
 def count_distinct(
     t: Text,
     relation: str,
     *,
-    index: ScerIndex | None = None,
     table: SquaresTable | None = None,
     exact_index: ScerIndex | None = None,
 ) -> int:
-    """Number of square substrings under the relation, distinct as strings."""
-    if t.n < 2:
-        return 0
-    if index is None:
-        index = ScerIndex(t, relation)
-    if table is None:
-        table = squares_table(index)
-    if exact_index is None:
-        exact_index = index if relation == "exact" else ScerIndex(t, "exact")
-    return sweep_count(table, exact_index.lpf(), t.n)
+    """Number of square substrings under the relation, distinct as strings.
+
+    `table` is the relation's square table of t and `exact_index` the
+    exact index of t; each is built when not given.
+    """
+    table = _table_for(t, relation, table)
+    return sweep_count(table, _exact_lpf(t, table, exact_index))

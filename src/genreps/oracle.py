@@ -574,7 +574,7 @@ def verify_text(t: Text, ks=(0, 1, 2, 3, 4), relations=("exact", "param", "op", 
         fails.append("mgrs mismatch")
 
     exact_index = ScerIndex(t, "exact")
-    param_index = param_table = None
+    param_table = None
     for relation in relations:
         index = exact_index if relation == "exact" else ScerIndex(t, relation)
         try:
@@ -583,7 +583,7 @@ def verify_text(t: Text, ks=(0, 1, 2, 3, 4), relations=("exact", "param", "op", 
             fails.append(f"squares_table {relation}: {exc}")
             continue
         if relation == "param":
-            param_index, param_table = index, table
+            param_table = table
         members = brute_squares_members(t, relation)
         got_members = {
             p: table.positions(p) for p in table.intervals if table.positions(p)
@@ -594,15 +594,13 @@ def verify_text(t: Text, ks=(0, 1, 2, 3, 4), relations=("exact", "param", "op", 
         want_ne = len(
             {(2 * p, tuple(rows[i][: 2 * p])) for p, mem in members.items() for i in mem}
         )
-        got_ne = counting.count_nonequivalent(t, relation, index=index, table=table)
+        got_ne = counting.count_nonequivalent(t, relation, table=table)
         if got_ne != want_ne:
             fails.append(f"count_nonequivalent {relation}: {got_ne} vs {want_ne}")
         want_d = len(
             {tuple(s[i : i + 2 * p]) for p, mem in members.items() for i in mem}
         )
-        got_d = counting.count_distinct(
-            t, relation, index=index, table=table, exact_index=exact_index
-        )
+        got_d = counting.count_distinct(t, relation, table=table, exact_index=exact_index)
         if got_d != want_d:
             fails.append(f"count_distinct {relation}: {got_d} vs {want_d}")
         if got_ne != naive_rangecount_sum(table.intervals, index.lpf(), n):
@@ -610,11 +608,11 @@ def verify_text(t: Text, ks=(0, 1, 2, 3, 4), relations=("exact", "param", "op", 
 
     if param_table is None and "param" in relations:
         return fails  # the failed param table is listed above
-    # both reports read the param table and the indexes built above
-    report = psquares.report_nonequivalent(t, index=param_index, table=param_table)
+    # both reports read the param table and the exact index built above
+    report = psquares.report_nonequivalent(t, table=param_table)
     if report.occurrences != brute_nonequivalent_leftmost(t, "param"):
         fails.append("report_nonequivalent(param): occurrence list differs")
-    report = psquares.report_distinct(t, exact_index=exact_index, table=param_table)
+    report = psquares.report_distinct(t, table=param_table, exact_index=exact_index)
     if report.occurrences != brute_distinct_leftmost(t, "param"):
         fails.append("report_distinct(param): occurrence list differs")
     return fails

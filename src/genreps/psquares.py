@@ -10,7 +10,10 @@ minima of a longest-previous-factor array, read from one sparse table
 over the packed keys lpf[i]·m + i: a range's minimum key names both its
 smallest LPF and the leftmost position holding it.  The output is
 {(i, 2l) : i starts a p-square of half-length l, lpf[i] < 2l}, so any
-family of intervals with the same starts gives the same report.
+family of intervals with the same starts gives the same report.  The
+non-equivalent report reads the param LPF from the table's own index,
+the distinct one the exact LPF; `table=` and `exact_index=` reuse ones
+already built, and must be those of the text.
 
 The paper's O(n sigma log sigma) construction from the recency profiles
 stays as the reference, checked against the table in the tests: every
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import SquaresTable, _family, _flatten, squares_table
+from .counting import SquaresTable, _exact_lpf, _family, _flatten, _table_for
 from .encodings import profiles
 from .index import ScerIndex, _MinTable
 from .repeats import uniform_start_intervals
@@ -153,51 +156,24 @@ def _report_from_intervals(
     return out
 
 
-def _check_table(t: Text, table: SquaresTable | None) -> None:
-    """ValueError unless table is None or the param square table of a
-    text as long as t."""
-    if table is not None and (table.relation != "param" or table.n != t.n):
-        raise ValueError(
-            f"need the param square table of a text of length {t.n}, "
-            f"got a {table.relation} table of length {table.n}"
-        )
-
-
-def report_nonequivalent(
-    t: Text, index: ScerIndex | None = None, *, table: SquaresTable | None = None
-) -> PSquareReport:
+def report_nonequivalent(t: Text, *, table: SquaresTable | None = None) -> PSquareReport:
     """All non-equivalent p-squares, each at its leftmost occurrence.
 
-    `index` is the param index of t and `table` its square table; each is
-    built when not given.
+    `table` is the param square table of t, built when not given; its
+    index gives the param LPF.
     """
-    _check_table(t, table)
-    if t.n < 2:
-        return PSquareReport({}, [])
-    if index is None:
-        index = ScerIndex(t, "param")
-    if table is None:
-        table = squares_table(index)
-    return PSquareReport(table.intervals, _report_from_intervals(table.intervals, index.lpf()))
+    table = _table_for(t, "param", table)
+    return PSquareReport(table.intervals, _report_from_intervals(table.intervals, table.index.lpf()))
 
 
 def report_distinct(
-    t: Text,
-    index: ScerIndex | None = None,
-    exact_index: ScerIndex | None = None,
-    *,
-    table: SquaresTable | None = None,
+    t: Text, *, table: SquaresTable | None = None, exact_index: ScerIndex | None = None
 ) -> PSquareReport:
     """All p-squares distinct as strings, each at its leftmost occurrence.
 
-    `table` is the param square table of t, built from the param `index`
-    when not given, and `exact_index` the exact index of t.
+    `table` is the param square table of t and `exact_index` the exact
+    index of t; each is built when not given.
     """
-    _check_table(t, table)
-    if t.n < 2:
-        return PSquareReport({}, [])
-    if table is None:
-        table = squares_table(index if index is not None else ScerIndex(t, "param"))
-    if exact_index is None:
-        exact_index = ScerIndex(t, "exact")
-    return PSquareReport(table.intervals, _report_from_intervals(table.intervals, exact_index.lpf()))
+    table = _table_for(t, "param", table)
+    lpf = _exact_lpf(t, table, exact_index)
+    return PSquareReport(table.intervals, _report_from_intervals(table.intervals, lpf))

@@ -131,14 +131,14 @@ def _symbols(t) -> np.ndarray:
 
 
 def _periods(n: int, periods) -> np.ndarray:
-    """The periods asked for (all when None) that lie in [1..n/2], in the
-    order asked."""
+    """The distinct periods asked for (all when None) that lie in [1..n/2],
+    ascending."""
     half = n // 2
     if periods is None:
         return np.arange(1, half + 1)
     if isinstance(periods, int):
         periods = (periods,)
-    return np.array([p for p in periods if 1 <= p <= half], dtype=np.int64)
+    return np.array(sorted({p for p in periods if 1 <= p <= half}), dtype=np.int64)
 
 
 def _mismatches(s: np.ndarray, ell: int) -> np.ndarray:

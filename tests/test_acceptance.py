@@ -278,7 +278,7 @@ def test_criterion_8_sweep_equivalence(corpus):
             lpf = idx.lpf()
             from genreps.counting import sweep_count
 
-            got = sweep_count(table, lpf, t.n)
+            got = sweep_count(table, lpf)
             assert got == oracle.naive_rangecount_sum(table.intervals, lpf, t.n)
             assert got == oracle.cursor_sweep_count(table.intervals, lpf, t.n)
             checked += 1

@@ -76,6 +76,27 @@ def test_psquares_distinct_mode():
     assert rows == [["1", "2"], ["2", "2"], ["1", "4"]]
 
 
+def test_psquares_classes_encodes_the_text_twice(tmp_path, monkeypatch, capsys):
+    """The canon column reads the forward param index's encoder: a classes
+    run builds one ParamEncoder for that index and one for the reversed
+    index, and no third for the column."""
+    from genreps import cli, encodings
+
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"abaabbababcabcab")
+    built = []
+    init = encodings.ParamEncoder.__init__
+
+    def counted(self, text):
+        built.append(text.symbols)
+        init(self, text)
+
+    monkeypatch.setattr(encodings.ParamEncoder, "__init__", counted)
+    assert cli.main(["psquares", str(path), "--mode", "classes"]) == 0
+    assert len(built) == 2
+    assert capsys.readouterr().out.count("\n") > 0
+
+
 def test_count_exact():
     code, out, _ = run_cli(["count", "-", "--relation", "exact"], data=b"aaaa")
     assert code == 0
@@ -298,7 +319,7 @@ def test_bounds_mgr_row_matches_unbounded_records():
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     from genreps import cli, counting
 
-    def broken(index, rev_index=None):
+    def broken(index):
         raise AssertionError("interval table out of order")
 
     monkeypatch.setattr(counting, "squares_table", broken)

@@ -319,7 +319,7 @@ def test_sweep_equals_naive_rangecount():
             idx = ScerIndex(t, rel)
             table = squares_table(idx)
             lpf = idx.lpf()
-            got = sweep_count(table, lpf, t.n)
+            got = sweep_count(table, lpf)
             assert got == oracle.naive_rangecount_sum(table.intervals, lpf, t.n)
             assert got == oracle.cursor_sweep_count(table.intervals, lpf, t.n)
 

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import fibonacci, random_text
 from genreps import oracle
-from genreps.counting import squares_table
+from genreps.counting import count_distinct, count_nonequivalent, squares_table
 from genreps.index import ScerIndex, _MinTable
 from genreps.psquares import (
     _intersect_pieces,
@@ -248,7 +248,7 @@ def test_report_reads_the_given_table():
         t = random_text(rng, rng.randint(2, 120), rng.choice([2, 3, 4]))
         index = ScerIndex(t, "param")
         table = squares_table(index)
-        rep = report_nonequivalent(t, index, table=table)
+        rep = report_nonequivalent(t, table=table)
         assert rep.periods is table.intervals
         assert rep.occurrences == report_nonequivalent(t).occurrences
         rep = report_distinct(t, exact_index=ScerIndex(t, "exact"), table=table)
@@ -256,22 +256,49 @@ def test_report_reads_the_given_table():
         assert rep.occurrences == report_distinct(t).occurrences
 
 
-@pytest.mark.parametrize("report", [report_nonequivalent, report_distinct])
-def test_report_rejects_foreign_table(report):
-    """A table of another relation or of a text of another length is a
-    ValueError, also for texts too short to hold a square."""
-    t = parse_text(b"abaabab")
+def _param_count(count):
+    return lambda t, **kw: count(t, "param", **kw)
+
+
+@pytest.mark.parametrize(
+    "entry, distinct",
+    [
+        pytest.param(report_nonequivalent, False, id="report_nonequivalent"),
+        pytest.param(report_distinct, True, id="report_distinct"),
+        pytest.param(_param_count(count_nonequivalent), False, id="count_nonequivalent"),
+        pytest.param(_param_count(count_distinct), True, id="count_distinct"),
+    ],
+)
+def test_report_rejects_foreign_table(entry, distinct):
+    """A table of another relation or of another text, of another length
+    or of the same one, is a ValueError, also for texts too short to hold
+    a square; so is an exact index that is not the text's."""
+    t = parse_text(b"abaabbabab")
+    u = parse_text(b"aabbabbaba")  # as long as t, with other p-squares
+    own = squares_table(ScerIndex(t, "param"))
     foreign = [
         squares_table(ScerIndex(t, "exact")),
         squares_table(ScerIndex(t, "op")),
-        squares_table(ScerIndex(parse_text(b"abaababa"), "param")),
+        squares_table(ScerIndex(parse_text(b"abaabbababa"), "param")),
+        squares_table(ScerIndex(u, "param")),
     ]
     for table in foreign:
         with pytest.raises(ValueError, match="param square table"):
-            report(t, table=table)
+            entry(t, table=table)
     with pytest.raises(ValueError, match="param square table"):
-        report(parse_text(b"a"), table=foreign[2])
-    assert report(t, table=squares_table(ScerIndex(t, "param"))).count > 0
+        entry(parse_text(b"a"), table=foreign[2])
+    if distinct:
+        for exact_index in (ScerIndex(u, "exact"), ScerIndex(t, "param"), own.index):
+            for table in (None, own):
+                with pytest.raises(ValueError, match="exact index"):
+                    entry(t, table=table, exact_index=exact_index)
+        got = entry(t, table=own, exact_index=ScerIndex(t, "exact"))
+        want = oracle.brute_distinct_leftmost(t, "param")
+    else:
+        got = entry(t, table=own)
+        want = oracle.brute_nonequivalent_leftmost(t, "param")
+    got = getattr(got, "occurrences", got)  # a report's occurrences, or a count
+    assert got == (want if isinstance(got, list) else len(want))
 
 
 def test_report_split_work_follows_output(monkeypatch):

@@ -328,7 +328,7 @@ def _check_against_scan(t, k, periods=None):
     elif isinstance(periods, int):
         asked = [periods] if 1 <= periods <= t.n // 2 else []
     else:
-        asked = [p for p in periods if 1 <= p <= t.n // 2]
+        asked = sorted({p for p in periods if 1 <= p <= t.n // 2})
     want_uni, want_runs = _scan_reference(t, k, asked)
     uni, runs, count = _sampled(t, k, periods)
     assert uni == want_uni
@@ -361,6 +361,26 @@ def test_sampled_explicit_periods():
         for periods in (p, range(p, p + 7), [p + 3, p, p], [0, -2, t.n]):
             for k in (0, 2):
                 _check_against_scan(t, k, periods)
+
+
+def test_duplicate_periods_reported_once():
+    """A period asked for twice, or out of order, gives the records of the
+    sorted distinct periods, on every enumerator and both mgrs paths."""
+    rng = random.Random(18)
+    texts = [random_text(rng, rng.randint(12, 90), rng.choice([1, 2, 3])) for _ in range(8)]
+    texts += [text_from_symbols([i % 3 for i in range(40)]), text_from_symbols(fibonacci(60))]
+    seen = 0
+    for t in texts:
+        for periods, once in (([3, 3], [3]), ([5, 2, 5, 2, 5], range(2, 6, 3)), ([4, 1, 4], [1, 4])):
+            for k in (0, 2):
+                assert k_runs(t, k, periods) == k_runs(t, k, once)
+                assert uniform_k_runs(t, k, periods) == uniform_k_runs(t, k, once)
+                assert count_uniform_k_runs(t, k, periods) == count_uniform_k_runs(t, k, once)
+            assert generalised_runs(t, periods) == generalised_runs(t, once)
+            assert mgrs(t, None, periods) == mgrs(t, None, once)
+            assert mgrs(t, 3, periods) == mgrs(t, 3, once)
+            seen += count_uniform_k_runs(t, 1, once)
+    assert seen > 0
 
 
 @pytest.mark.parametrize("sigma, k", [(2, 1), (4, 2), (4, 4)])
