@@ -282,8 +282,20 @@ _BOUNDS_COLS = [
 ]
 
 
+_METRICS = ("runs", "mgr", "gruns", "table", "classes")
+
+
+def _metric_set(spec: str) -> set[str]:
+    metrics = set(spec.split(","))
+    if not metrics <= set(_METRICS):
+        raise ValueError(spec)
+    return metrics
+
+
 def cmd_bounds(args) -> int:
-    metrics = set(args.metrics.split(","))
+    metrics = _parse_flag(
+        "--metrics", args.metrics, _metric_set, "comma-separated names from " + ",".join(_METRICS)
+    )
     ns = _parse_flag("--n", args.n)
     ks = _parse_flag("--k-list", args.k_list)
     sigmas = _parse_flag("--sigma-list", args.sigma_list)

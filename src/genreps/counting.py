@@ -219,7 +219,7 @@ def reversed_index(index: ScerIndex) -> ScerIndex:
     """Index of the reversed text under the relation that mirrors matches.
 
     Under "pal" the reversed encoder takes the text's palindrome radii,
-    mirrored, in place of a second Manacher pass.
+    mirrored, in place of a second radii computation.
     """
     rev = index.text.reversed()
     if index.relation == "pal":

@@ -277,88 +277,54 @@ class PalindromeRadii:
 
 
 def maximal_palindromes(t: Text) -> PalindromeRadii:
-    """All maximal palindromes by Manacher's algorithm, O(n)."""
-    n = t.n
-    s = t.padded
-    # separator-padded string U of length 2n+1: U[2i] = T[i], separators at odd slots
-    m = 2 * n + 1
-    u = [-1] * (m + 1)
-    for i in range(1, n + 1):
-        u[2 * i] = s[i]
-    rad = [0] * (m + 1)
-    left = right = 1
-    for c in range(1, m + 1):
-        k = 1 if c > right else min(rad[left + right - c] + 1, right - c + 1)
-        while c - k >= 1 and c + k <= m and u[c - k] == u[c + k]:
-            k += 1
-        rad[c] = k - 1
-        if c + k - 1 > right:
-            left, right = c - k + 1, c + k - 1
-    odd = np.zeros(n + 1, dtype=np.int64)
-    even = np.zeros(n + 1, dtype=np.int64)
-    for c in range(1, n + 1):
-        odd[c] = rad[2 * c] // 2
-        if c < n:
-            even[c] = rad[2 * c + 1] // 2
-    return PalindromeRadii(odd, even)
+    """All maximal palindromes by LCE queries on T$T^R, O(n log n).
 
-
-def _reach_levels(reach: np.ndarray) -> list[np.ndarray]:
-    """levels[k][c] = max(reach[c .. c + 2^k - 1]), for c in [0..n+1].
-
-    `reach` is 1-based over centres 1..n.  Windows that run past n read
-    as n + 1, above every query bound, so a descent never skips them.
+    T[x] sits at position 2n+2-x of T$T^R, so on its exact index
+    (`repeats.jump_index`) odd[c] = LCP(c+1, 2n+3-c) and even[c] =
+    LCP(c+1, 2n+2-c): two batch queries.  $ stops the forward side at the
+    end of T, and the end of T$T^R stops the backward side at its start.
     """
-    n = len(reach) - 1
-    top = np.append(reach, n + 1)
-    levels = [top]
-    for k in range(1, max(n, 1).bit_length()):
-        half = 1 << (k - 1)
-        nxt = np.full(n + 2, n + 1, dtype=np.int64)
-        nxt[: n + 2 - half] = np.maximum(top[: n + 2 - half], top[half:])
-        levels.append(nxt)
-        top = nxt
-    return levels
+    from .repeats import jump_index  # the repeats module imports this one
 
-
-def _leftmost_reaching(levels, lo, j):
-    """Leftmost centre c >= lo with reach[c] >= j, elementwise, by binary
-    lifting over `_reach_levels`."""
-    c = lo
-    for k in range(len(levels) - 1, -1, -1):
-        c = c + ((levels[k][c] < j) << k)
-    return c
-
-
-def _suffix_palindrome(odd, even, i, j):
-    c_odd = _leftmost_reaching(odd, (i + j + 1) // 2, j)
-    c_even = _leftmost_reaching(even, (i + j) // 2, j)  # c_even == j: none
-    return np.maximum(2 * (j - c_odd) + 1, 2 * (j - c_even))
+    n = t.n
+    c = np.arange(1, n + 1)
+    lcp = jump_index(t).lcp_batch
+    return PalindromeRadii(np.append(0, lcp(c + 1, 2 * n + 3 - c)), np.append(0, lcp(c + 1, 2 * n + 2 - c)))
 
 
 class PalEncoder(Encoder):
     """Length of the longest suffix palindrome of the substring.
 
-    The longest palindrome suffix of T[i..j] has the leftmost centre c
-    whose maximal palindrome reaches j (c + radius >= j) among the centres
-    whose palindrome ending at j starts at or after i.  Code blocks find
-    that centre by a descent over sparse tables of the Manacher reaches.
+    Centres are doubled: h = 2c is the odd centre c and h = 2c+1 the gap
+    after c, and reach[h] = c + its radius is the last position its
+    maximal palindrome covers; a sentinel h = 2n+2 reaches n+1.  The
+    palindrome at h that ends at j starts at h-j, so the longest suffix
+    palindrome of T[s..j] is 2j-h+1 long, for the leftmost h >= s+j with
+    reach[h] >= j (h = 2j, or the sentinel, always qualifies).  Code
+    blocks find h by one descent over a sparse table of the complemented
+    reaches.
     """
 
     relation = "pal"
 
     def __init__(self, text: Text, radii: PalindromeRadii | None = None):
         """`radii`, when given, are the text's `maximal_palindromes`."""
+        from .index import _MinTable  # the index module imports this one
+
         super().__init__(text)
         radii = radii if radii is not None else maximal_palindromes(text)
         self.radii = radii
-        c = np.arange(text.n + 1)
-        self._odd = _reach_levels(c + radii.odd)
-        self._even = _reach_levels(c + radii.even)
+        n = text.n
+        reach = np.full(2 * n + 3, n + 1, dtype=np.int64)
+        c = np.arange(n + 1)
+        reach[0:-1:2] = c + radii.odd
+        reach[1:-1:2] = c + radii.even
+        self._reach = _MinTable(~reach)  # reach >= j exactly when ~reach <= ~j
 
     def code_block(self, starts: np.ndarray, t0: int, depth: int) -> np.ndarray:
         s, j, valid = _block_cells(starts, t0, depth, self.text.n)
-        return np.where(valid, _suffix_palindrome(self._odd, self._even, s, j), -1)
+        h = self._reach.first_at_most(s + j, ~j)
+        return np.where(valid, 2 * j - h + 1, -1)
 
 
 _ENCODERS = {

@@ -51,8 +51,9 @@ class _MinTable:
     holds the minimum of every window of 2**k cells, clipped at the end of
     the array.  Queries take O(1) cells each: scalar ones read two cells,
     batch ones run elementwise over arrays of ranges, and the previous-/
-    next-smaller searches descend the rows by binary lifting, one
-    elementwise round per row over all of their positions at once.
+    next-smaller searches and the threshold descent `first_at_most` descend
+    the rows by binary lifting, one elementwise round per row over all of
+    their positions at once.
     """
 
     def __init__(self, arr):
@@ -100,6 +101,20 @@ class _MinTable:
             np.subtract(cur, step, out=cur, where=ok)
         cur -= 1
         return np.maximum(cur, -1, out=cur)
+
+    def first_at_most(self, lo: np.ndarray, thr: np.ndarray) -> np.ndarray:
+        """For each pair, the smallest q >= lo with arr[q] <= thr.
+
+        Such a q must exist for every pair: the descent then skips only
+        windows that end before it, so it reads no cell past the end of
+        the array and needs no clipping.
+        """
+        rows = self._rows
+        thr = thr.astype(self._tab.dtype)  # once here, not once per row
+        cur = np.array(lo, dtype=np.intp)
+        for k in range(len(rows) - 1, -1, -1):
+            np.add(cur, np.intp(1 << k), out=cur, where=rows[k][cur] > thr)
+        return cur
 
     def next_smaller(self, pos: np.ndarray) -> np.ndarray:
         """For each position r, the smallest q > r with arr[q] < arr[r], or m."""

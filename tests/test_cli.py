@@ -201,6 +201,9 @@ def test_ints_token_must_be_ascii_digits(token, tmp_path, capsys):
         ("bounds", "--sigma-list", ""),
         ("verify", "--k-list", "1,a"),
         ("verify", "--sigma-list", "2,"),
+        ("bounds", "--metrics", "foo,runs"),
+        ("bounds", "--metrics", ""),
+        ("bounds", "--metrics", "runs,"),
     ],
 )
 def test_rejects_out_of_range_values(command, flag, value, capsys):

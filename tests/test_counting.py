@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import fibonacci, random_text
-from genreps import counting, encodings, oracle
+from genreps import counting, encodings, oracle, repeats
 from genreps.counting import (
     count_distinct,
     count_nonequivalent,
@@ -65,7 +65,7 @@ def test_reversed_pal_index_reuses_mirrored_radii(monkeypatch):
         fwd = ScerIndex(t, "pal")
         want = ScerIndex(t.reversed(), "pal")
         with monkeypatch.context() as m:
-            m.setattr(encodings, "maximal_palindromes", None)  # no second Manacher pass
+            m.setattr(encodings, "maximal_palindromes", None)  # no second radii pass
             got = reversed_index(fwd)
         assert got.relation == "pal"
         assert got.order.tolist() == want.order.tolist(), t.symbols
@@ -187,6 +187,22 @@ def test_squares_table_random_vs_oracle(relation):
         got = {p: table.positions(p) for p in table.intervals}
         got = {p: v for p, v in got.items() if v}
         assert got == oracle.brute_squares_members(t, relation), t.symbols
+
+
+def test_exact_table_equals_zero_runs():
+    """Past the oracle's cap, the exact squares table is the 0-runs: its
+    intervals of half-period p are the (first, last start) rows of period p
+    from the sampled jumps of `repeats`, an independent route."""
+    rng = random.Random(17)
+    texts = [random_text(rng, 10_000, sigma) for sigma in (1, 2, 4, 26)]
+    texts += [text_from_symbols(sym) for sym in ([i % 3 for i in range(3000)], fibonacci(3000), [], [0])]
+    for t in texts:
+        table = squares_table(ScerIndex(t, "exact"))
+        ells, first, last = repeats._k_run_rows(t, 0, None, None)
+        runs: dict[int, list[list[int]]] = {}
+        for ell, a, b in zip(ells.tolist(), first.tolist(), last.tolist()):
+            runs.setdefault(ell, []).append([a, b])
+        assert runs == {p: ivs.tolist() for p, ivs in table.intervals.items()}, (t.n, t.sigma)
 
 
 @pytest.mark.parametrize("relation", RELATIONS)

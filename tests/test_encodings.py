@@ -85,9 +85,14 @@ def test_maximal_palindromes_examples():
 
 
 def test_maximal_palindromes_random_vs_expansion():
+    """Random texts, and periodic and Fibonacci ones whose palindromes run
+    into both ends (the $ of T$T^R and its end, position 2n+2)."""
     rng = random.Random(11)
-    for _ in range(10):
-        t = random_text(rng, rng.randint(1, 100), rng.choice([2, 3]))
+    texts = [random_text(rng, rng.randint(1, 100), rng.choice([2, 3])) for _ in range(10)]
+    for n in (0, 1, 2, 3, 17, 64, 299, 300):
+        texts += [text_from_symbols((unit * n)[:n]) for unit in ([0], [0, 1], [0, 1, 2])]
+        texts.append(text_from_symbols(fibonacci(n)))
+    for t in texts:
         radii = maximal_palindromes(t)
         odd, even = oracle._max_radii(list(t.symbols))
         assert list(radii.odd[1:]) == odd
@@ -219,8 +224,9 @@ def test_profile_shift_property():
 def test_pal_code_and_block_match_oracle():
     rng = random.Random(40)
     texts = [random_text(rng, rng.randint(0, 80), rng.choice([2, 3])) for _ in range(30)]
-    for n in (1, 2, 17, 64, 80):
+    for n in (0, 1, 2, 17, 64, 80, 300):
         texts += [text_from_symbols((unit * n)[:n]) for unit in ([0], [0, 1], [0, 1, 2], [0, 0, 1])]
+        texts.append(text_from_symbols(fibonacci(n)))
     for t in texts:
         n = t.n
         enc = make_encoder(t, "pal")
@@ -249,7 +255,7 @@ def test_code_block_matches_oracle(relation):
         random_text(rng, rng.randint(0, 60), rng.choice([1, 2, 3, 4, 5, 26, 300]))
         for _ in range(300)
     ]
-    for n in (1, 2, 17, 40, 60):
+    for n in (0, 1, 2, 17, 40, 60, 300):
         texts += [text_from_symbols((unit * n)[:n]) for unit in ([0], [0, 1], [0, 1, 2])]
         texts.append(text_from_symbols(fibonacci(n)))
     for t in texts:

@@ -148,6 +148,11 @@ def test_min_table_prev_next_smaller_vs_brute():
         sub = pos[::-3]
         assert table.prev_smaller(sub).tolist() == [prev[r] for r in sub]
         assert table.next_smaller(sub).tolist() == [nxt[r] for r in sub]
+        # the threshold descent, on thresholds that some q >= lo meets
+        lo = pos[::-1]
+        thr = np.array([arr[(r * 7 + 3) % (m - r) + r] for r in lo], dtype=np.int64)
+        want = [min(q for q in range(r, m) if arr[q] <= v) for r, v in zip(lo.tolist(), thr.tolist())]
+        assert table.first_at_most(lo, thr).tolist() == want, arr
 
 
 def test_lcp_batch_matches_lcp_suffixes():
