@@ -17,19 +17,15 @@ from .counting import (
 from .encodings import (
     RELATIONS,
     Encoder,
-    Profiles,
     make_encoder,
     maximal_palindromes,
-    profiles,
     scer_match,
 )
 from .index import ScerIndex
 from .psquares import (
     PSquareReport,
-    candidate_intervals,
     report_distinct,
     report_nonequivalent,
-    verify_intervals,
 )
 from .repeats import (
     GeneralisedRun,
@@ -44,7 +40,7 @@ from .repeats import (
     mismatch_positions,
     uniform_k_runs,
 )
-from .text import Text, parse_text, prev_array, text_from_symbols
+from .text import Text, parse_text, text_from_symbols
 
 __version__ = "0.1.0"
 
@@ -54,13 +50,11 @@ __all__ = [
     "KRun",
     "Mgr",
     "PSquareReport",
-    "Profiles",
     "RELATIONS",
     "ScerIndex",
     "SquaresTable",
     "Text",
     "UniformKRun",
-    "candidate_intervals",
     "count_distinct",
     "count_nonequivalent",
     "generalised_runs",
@@ -72,8 +66,6 @@ __all__ = [
     "mgrs",
     "mismatch_positions",
     "parse_text",
-    "prev_array",
-    "profiles",
     "report_distinct",
     "report_nonequivalent",
     "right_nonextendible",
@@ -82,5 +74,4 @@ __all__ = [
     "squares_table",
     "text_from_symbols",
     "uniform_k_runs",
-    "verify_intervals",
 ]

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or I/O error,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -425,8 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call of `main` and reused by every later one, since
+# parse_args leaves a parser as it was
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

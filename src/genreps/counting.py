@@ -73,7 +73,8 @@ def _probe_ranges(index: ScerIndex) -> tuple[np.ndarray, ...]:
     heads = new.nonzero()[0]  # the first cut of each interval
     w, lo = (v.astype(np.int32) for v in np.divmod(key[heads], m))
     del key
-    end = rmq.next_smaller(cut[heads]).astype(np.int32)
+    # the next position with an LCP below w: the sentinel -1 ends the rmq
+    end = rmq.first_at_most(cut[heads] + 1, w - 1).astype(np.int32)
     # an interval with cuts c1 < ... < ck has children [lo, c1), [c1, c2), ..., [ck, end):
     # with g intervals up to cut j, child j + g starts there and child j + g - 1 ends there
     at = new.cumsum(dtype=np.int32)
@@ -148,16 +149,16 @@ def right_nonextendible(index: ScerIndex) -> np.ndarray:
     return np.stack(np.divmod(keys, n + 1), axis=1)
 
 
-def right_nonshiftable(index: ScerIndex, rne: np.ndarray | None = None) -> np.ndarray:
+def right_nonshiftable(index: ScerIndex) -> np.ndarray:
     """Right non-extendible squares that stay squares nowhere one step right.
 
     A right non-extendible square T[i..i+2p) is right shiftable exactly
     when the suffixes i+1 and i+p+1 share an equivalent prefix of length p
     (it is always at least p-1).  One batch LCP query tests every pair of
-    the (i, p) rows of `rne`; the kept rows come back in their order.
+    the (i, p) rows of `right_nonextendible`; the kept rows come back in
+    their order.
     """
-    if rne is None:
-        rne = right_nonextendible(index)
+    rne = right_nonextendible(index)
     i, p = rne[:, 0], rne[:, 1]
     return rne[index.lcp_batch(i + 1, i + p + 1) == p - 1]
 

@@ -12,8 +12,11 @@ for many suffixes at once; `Encoder.code(i, j)` is a single cell of it.
 Relations: "exact" (equality), "param" (parameterized matching, i.e. a
 bijection between alphabets), "op" (order-preserving), "ct" (equal
 Cartesian-tree shapes), "pal" (equal palindromic-substring structure).
-"recency" is the sigma-bounded encoder used by the p-square pipeline, and
 "ct_suffix" is the suffix-direction twin of "ct" used on reversed texts.
+
+`profiles` gives the recency codes of every prefix and of every reversed
+suffix, the sigma-bounded input of the paper's p-square construction,
+which the tests keep as the reference for the param square table.
 """
 
 from __future__ import annotations
@@ -230,31 +233,6 @@ class OpEncoder(Encoder):
         return out
 
 
-class RecencyEncoder(Encoder):
-    """Number of distinct symbols since the previous occurrence of T[j].
-
-    The code of T[i..j] counts the distinct symbols in the longest suffix
-    of T[i..j) that avoids T[j]; all codes lie in [0..sigma).
-    """
-
-    relation = "recency"
-
-    def code_block(self, starts: np.ndarray, t0: int, depth: int) -> np.ndarray:
-        # with lo = max(prev[j] + 1, s), count the symbols whose last
-        # occurrence before j is at or after lo: one pass per symbol
-        text = self.text
-        s, j, valid = _block_cells(starts, t0, depth, text.n)
-        lo = np.maximum(text.prev[j] + 1, s)
-        before = j - 1
-        sym = text.padded_np
-        pos = np.arange(text.n + 1)
-        out = np.zeros(j.shape, dtype=np.int64)
-        for c in range(text.sigma):
-            last = np.maximum.accumulate(np.where(sym == c, pos, 0))
-            out += last[before] >= lo
-        return np.where(valid, out, -1)
-
-
 @dataclass(frozen=True)
 class PalindromeRadii:
     """Maximal palindrome radii per center, 1-based (index 0 unused).
@@ -334,7 +312,6 @@ _ENCODERS = {
     "ct": CtEncoder,
     "ct_suffix": CtSuffixEncoder,
     "pal": PalEncoder,
-    "recency": RecencyEncoder,
 }
 
 # relation to use on the reversed text so that matches mirror exactly
@@ -345,7 +322,6 @@ REVERSED_RELATION = {
     "pal": "pal",
     "ct": "ct_suffix",
     "ct_suffix": "ct",
-    "recency": "recency",
 }
 
 
@@ -383,8 +359,17 @@ class Profiles:
     backward: np.ndarray
 
 
+def _prefix_codes(t: Text) -> np.ndarray:
+    """The recency code of every prefix T[1..j]: the number of symbols
+    whose last occurrence before j lies after prev[j], one pass per symbol."""
+    pos = np.arange(t.n + 1)
+    out = np.zeros(t.n, dtype=np.int64)
+    for c in range(t.sigma):
+        last = np.maximum.accumulate(np.where(t.padded_np == c, pos, 0))
+        out += last[:-1] > t.prev[1:]
+    return out
+
+
 def profiles(t: Text) -> Profiles:
-    fwd = RecencyEncoder(t).code_block(np.array([1]), 0, t.n)[0]
-    bwd = RecencyEncoder(t.reversed()).code_block(np.array([1]), 0, t.n)[0][::-1]
     # 1-based, with the same -1 pad as Text.padded
-    return Profiles(np.append(-1, fwd), np.append(-1, bwd))
+    return Profiles(np.append(-1, _prefix_codes(t)), np.append(-1, _prefix_codes(t.reversed())[::-1]))

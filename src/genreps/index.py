@@ -5,12 +5,14 @@ contributes the sequence of codes of its prefixes, terminated by an
 end-marker below every code), stores the order, its inverse (rank) and
 the adjacent-pair LCP array as int32 numpy arrays, and answers
 longest-common-equivalent-prefix queries between any two suffixes via
-range-minimum queries on a numpy sparse table, one pair at a time or a
-whole batch at once.  The same table finds every position's previous
-and next smaller value by a binary-lifting descent, which gives the LCP
-intervals of the counting pass and, over the suffix order, the
-longest-previous-factor array in one batched pass.  A weighted tree view
-of the compacted trie serves the tests.
+range-minimum queries on a numpy sparse table, a whole batch at once.
+The same table finds every position's previous smaller value by a
+binary-lifting descent, and its next smaller one by the threshold
+descent `first_at_most`, which always stops at a sentinel cell below
+every value at the end of the array.  Those give the LCP intervals of
+the counting pass and, over the suffix order, the longest-previous-factor
+array in one batched pass.  A weighted tree view of the compacted trie
+serves the tests.
 
 Construction is deterministic, and the relation alone picks the path at
 every text length, n = 0 included.  Exact matching sorts by prefix
@@ -50,10 +52,10 @@ class _MinTable:
     Row k of one (levels x m) numpy array (int32 where the values fit)
     holds the minimum of every window of 2**k cells, clipped at the end of
     the array.  Queries take O(1) cells each: scalar ones read two cells,
-    batch ones run elementwise over arrays of ranges, and the previous-/
-    next-smaller searches and the threshold descent `first_at_most` descend
-    the rows by binary lifting, one elementwise round per row over all of
-    their positions at once.
+    batch ones run elementwise over arrays of ranges, and the previous-smaller
+    search and the threshold descent `first_at_most` descend the rows by
+    binary lifting, one elementwise round per row over all of their
+    positions at once.
     """
 
     def __init__(self, arr):
@@ -115,18 +117,6 @@ class _MinTable:
         for k in range(len(rows) - 1, -1, -1):
             np.add(cur, np.intp(1 << k), out=cur, where=rows[k][cur] > thr)
         return cur
-
-    def next_smaller(self, pos: np.ndarray) -> np.ndarray:
-        """For each position r, the smallest q > r with arr[q] < arr[r], or m."""
-        rows, last = self._rows, np.intp(self._m - 1)
-        thr = rows[0][pos]
-        nxt = np.array(pos, dtype=np.intp)
-        nxt += 1
-        for k in range(len(rows) - 1, -1, -1):
-            # past the end nothing is smaller, so a clipped window decides
-            ok = rows[k][np.minimum(nxt, last)] >= thr
-            np.add(nxt, np.intp(1 << k), out=nxt, where=ok)
-        return np.minimum(nxt, last + 1, out=nxt)
 
 
 def _block_sort(encoder: Encoder, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -313,24 +303,16 @@ class ScerIndex:
 
     @property
     def rmq(self) -> _MinTable:
+        """Range minima of the LCP array, which ends in a sentinel cell -1
+        (position n+1): `first_at_most(r + 1, lcp[r] - 1)` is the next
+        position with a smaller LCP, n+1 if none."""
         if self._rmq is None:
-            self._rmq = _MinTable(self.lcp)
+            self._rmq = _MinTable(np.append(self.lcp, np.int32(-1)))
         return self._rmq
 
-    def lcp_suffixes(self, i: int, j: int) -> int:
-        """Longest l with T[i..i+l) equivalent to T[j..j+l)."""
-        n = self.n
-        if not (1 <= i <= n + 1 and 1 <= j <= n + 1):
-            raise ValueError(f"suffix positions ({i}, {j}) out of range for n={n}")
-        if i == j:
-            return n - i + 1
-        r1, r2 = self.rank.item(i), self.rank.item(j)
-        if r1 > r2:
-            r1, r2 = r2, r1
-        return self.rmq.query(r1 + 1, r2)
-
     def lcp_batch(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """lcp_suffixes(i, j) elementwise over arrays of positions in [1..n+1]."""
+        """Elementwise over arrays of positions in [1..n+1], the longest l
+        with T[i..i+l) equivalent to T[j..j+l)."""
         r1, r2 = self.rank[i], self.rank[j]
         lo, hi = np.minimum(r1, r2), np.maximum(r1, r2)
         same = lo == hi
@@ -343,15 +325,16 @@ class ScerIndex:
         lpf[i] is the largest l such that T[i..i+l) is equivalent to
         T[j..j+l) for some j < i: the larger LCP with the nearest
         earlier-starting suffix on each side in rank space, found by
-        previous-/next-smaller searches over the order and two batch RMQs.
+        previous-/next-smaller searches over the order (with a sentinel
+        start 0 after its end) and two batch RMQs.
         """
         if self._lpf is not None:
             return self._lpf
         order = self.order
         m = len(order)
         r = np.arange(m)
-        starts = _MinTable(order)
-        prev, nxt = starts.prev_smaller(r), starts.next_smaller(r)
+        starts = _MinTable(np.append(order, np.int32(0)))
+        prev, nxt = starts.prev_smaller(r), starts.first_at_most(r + 1, order - 1)
         rmq = self.rmq
         left = rmq.query_batch(prev + 1, r)  # no neighbour (-1): reads lcp[0] = 0
         hi = np.minimum(nxt, m - 1)

@@ -35,7 +35,7 @@ from .counting import SquaresTable, _exact_lpf, _family, _flatten, _table_for
 from .encodings import profiles
 from .index import ScerIndex, _MinTable
 from .repeats import uniform_start_intervals
-from .text import Text
+from .text import Text, text_from_symbols
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ def candidate_intervals(t: Text) -> dict[int, np.ndarray]:
     if n < 2:
         return {}
     prof = profiles(t)
-    fwd = prof.forward
-    back_rev = np.concatenate(([-1], prof.backward[1:][::-1]))
+    fwd = text_from_symbols(prof.forward[1:])
+    back_rev = text_from_symbols(prof.backward[:0:-1])
     sigma = t.sigma
     out: dict[int, np.ndarray] = {}
     for ell in range(1, n // 2 + 1):

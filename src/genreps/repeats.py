@@ -42,10 +42,9 @@ MGRs, whose Θ(n^2) output on random text sampling cannot beat, and
 `psquares.candidate_intervals` calls with k = sigma (the p-square reports
 read the param square table instead).  Records store
 fragments as half-open [a..b); reported positions are 1-based.  Functions
-accept a Text or any integer sequence (a 1-based one padded with -1 at
-index 0 is used as is), and the sampled ones an optional `jump_index` of
-the text, built once per call when it is not given and checked against
-the text when it is.
+take a Text, and any other input is a TypeError; the sampled ones also
+take an optional `jump_index` of the text, built once per call when it is
+not given and checked against the text when it is.
 """
 
 from __future__ import annotations
@@ -117,17 +116,12 @@ class Mgr:
         return Fraction(self.arm_len, self.ell)
 
 
-def _symbols(t) -> np.ndarray:
-    """The 1-based int64 symbols of a Text or an integer sequence.
-
-    A sequence whose index 0 already holds the -1 pad is used as is.
-    """
-    if isinstance(t, Text):
-        return t.padded_np
-    s = np.asarray(t, dtype=np.int64)
-    if len(s) and s[0] == -1:
-        return s
-    return np.concatenate(([-1], s))
+def _symbols(t: Text) -> np.ndarray:
+    """The 1-based int64 symbols of a Text, -1 at index 0; a TypeError for
+    anything else."""
+    if not isinstance(t, Text):
+        raise TypeError(f"expected a Text, got {type(t).__name__}")
+    return t.padded_np
 
 
 def _periods(n: int, periods) -> np.ndarray:
@@ -160,7 +154,7 @@ def _runs(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges[::2], edges[1::2]
 
 
-def mismatch_positions(t, ell: int) -> list[int]:
+def mismatch_positions(t: Text, ell: int) -> list[int]:
     """Ascending positions i in [1..n-l] with T[i] != T[i+l]."""
     s = _symbols(t)
     n = len(s) - 1
@@ -169,7 +163,7 @@ def mismatch_positions(t, ell: int) -> list[int]:
     return _mismatches(s, ell).nonzero()[0][1:].tolist()
 
 
-def is_k_mismatch_square(t, i: int, ell: int, k: int) -> bool:
+def is_k_mismatch_square(t: Text, i: int, ell: int, k: int) -> bool:
     """Is T[i..i+2l) a square of its halves with at most k mismatches?"""
     s = _symbols(t)
     n = len(s) - 1
@@ -184,18 +178,13 @@ def is_k_mismatch_square(t, i: int, ell: int, k: int) -> bool:
 # sampled kangaroo jumps
 
 
-def _joined(t) -> tuple[np.ndarray, int]:
-    """The dense codes of T$T^R, $ = sigma, and sigma."""
-    s = _symbols(t)
-    if isinstance(t, Text):
-        dense, sigma = s[1:], t.sigma
-    else:
-        alphabet, dense = np.unique(s[1:], return_inverse=True)
-        sigma = len(alphabet)
-    return np.concatenate((dense, [sigma], dense[::-1])), sigma
+def _joined(t: Text) -> np.ndarray:
+    """The dense codes of T$T^R, $ = sigma."""
+    dense = _symbols(t)[1:]
+    return np.concatenate((dense, [t.sigma], dense[::-1]))
 
 
-def jump_index(t) -> ScerIndex:
+def jump_index(t: Text) -> ScerIndex:
     """The exact suffix index of T$T^R, $ a symbol not in T, that the
     sampled enumerators read their jumps from.
 
@@ -204,16 +193,15 @@ def jump_index(t) -> ScerIndex:
     and T[1..y] is the LCP of positions 2n+2-x and 2n+2-y, in T^R, where
     the end of the text ends every match at the start of T.
     """
-    joined, sigma = _joined(t)
-    return ScerIndex(_dense_text(joined, sigma + 1, tuple(range(sigma + 1))), "exact")
+    joined = _joined(t)  # checks that t is a Text
+    return ScerIndex(_dense_text(joined, t.sigma + 1, tuple(range(t.sigma + 1))), "exact")
 
 
-def _index_for(t, index: ScerIndex | None) -> ScerIndex:
+def _index_for(t: Text, index: ScerIndex | None) -> ScerIndex:
     """The given jump index after checking that it is one of t, else a new one."""
     if index is None:
         return jump_index(t)
-    joined, _ = _joined(t)
-    if index.relation != "exact" or not np.array_equal(index.text.padded_np[1:], joined):
+    if index.relation != "exact" or not np.array_equal(index.text.padded_np[1:], _joined(t)):
         raise ValueError("index is not the jump index of this text")
     return index
 
@@ -305,11 +293,10 @@ def _chains(cont: np.ndarray):
     return _spans(head)
 
 
-def _k_run_rows(t, k: int, periods, index):
+def _k_run_rows(t: Text, k: int, periods, index):
     """(l, first start, last start) arrays of all maximal k-runs, in period
     order and then by start."""
-    s = _symbols(t)
-    n = len(s) - 1
+    n = len(_symbols(t)) - 1
     ells = _periods(n, periods)
     if k < 0 or not len(ells):
         return ells[:0], ells[:0], ells[:0]
@@ -330,7 +317,7 @@ def _k_run_rows(t, k: int, periods, index):
     return ells[p], lo - p * span, hi - p * span
 
 
-def k_runs(t, k: int, periods=None, index: ScerIndex | None = None) -> list[KRun]:
+def k_runs(t: Text, k: int, periods=None, index: ScerIndex | None = None) -> list[KRun]:
     """All maximal k-runs: every window of the stretch is a k-mismatch square."""
     ells, a, last = _k_run_rows(t, k, periods, index)
     return [
@@ -339,7 +326,7 @@ def k_runs(t, k: int, periods=None, index: ScerIndex | None = None) -> list[KRun
     ]
 
 
-def generalised_runs(t, periods=None, index: ScerIndex | None = None) -> list[GeneralisedRun]:
+def generalised_runs(t: Text, periods=None, index: ScerIndex | None = None) -> list[GeneralisedRun]:
     """All maximal periodic fragments of length >= 2p per period p: the
     0-runs."""
     ells, a, last = _k_run_rows(t, 0, periods, index)
@@ -349,13 +336,12 @@ def generalised_runs(t, periods=None, index: ScerIndex | None = None) -> list[Ge
     ]
 
 
-def _uniform_segments(t, k: int, periods, index):
+def _uniform_segments(t: Text, k: int, periods, index):
     """Per chunk of samples, the uniform segments with count <= k, in period
     order and then by start: (l, first start, last start, cont, known, row,
     lo, hi) arrays.  cont marks a segment that goes on from the one before
     it; the mismatches of its first window are known[row, lo:hi]."""
-    s = _symbols(t)
-    n = len(s) - 1
+    n = len(_symbols(t)) - 1
     ells = _periods(n, periods)
     if k < 0 or not len(ells):
         return
@@ -394,7 +380,7 @@ def _uniform_segments(t, k: int, periods, index):
             )
 
 
-def uniform_k_runs(t, k: int, periods=None, index: ScerIndex | None = None) -> list[UniformKRun]:
+def uniform_k_runs(t: Text, k: int, periods=None, index: ScerIndex | None = None) -> list[UniformKRun]:
     """All maximal uniform k-runs: stretches of equal-length squares whose
     mismatch sets coincide and have size at most k."""
     ells, firsts, ends, conts, sets = [], [], [], [], []
@@ -424,7 +410,7 @@ def uniform_k_runs(t, k: int, periods=None, index: ScerIndex | None = None) -> l
     ]
 
 
-def count_uniform_k_runs(t, k: int, periods=None, index: ScerIndex | None = None) -> int:
+def count_uniform_k_runs(t: Text, k: int, periods=None, index: ScerIndex | None = None) -> int:
     """Number of maximal uniform k-runs (no records materialized): one per
     segment that does not go on from the segment before it."""
     segments = _uniform_segments(t, k, periods, index)
@@ -432,7 +418,7 @@ def count_uniform_k_runs(t, k: int, periods=None, index: ScerIndex | None = None
 
 
 def mgrs(
-    t, alpha_max: Fraction | float | None = None, periods=None, index: ScerIndex | None = None
+    t: Text, alpha_max: Fraction | float | None = None, periods=None, index: ScerIndex | None = None
 ) -> list[Mgr]:
     """All maximal gapped repeats; arms strictly shorter than the period.
 
@@ -500,7 +486,7 @@ def _arms(s: np.ndarray, ell: int):
     return zip(starts[keep].tolist(), arms[keep].tolist())
 
 
-def uniform_start_intervals(t, ell: int, k: int) -> np.ndarray:
+def uniform_start_intervals(t: Text, ell: int, k: int) -> np.ndarray:
     """Window-start intervals [a..b-2l] of the uniform k-runs of one period,
     as the rows of a (m, 2) int64 array sorted by a.
 

@@ -96,8 +96,3 @@ def parse_text(raw: bytes, mode: str = "bytes") -> Text:
             raise ValueError(f"malformed integer token {bad.decode('utf-8', 'replace')!r}")
         return text_from_symbols([int(tok) for tok in tokens])
     raise ValueError(f"unknown input mode {mode!r}")
-
-
-def prev_array(t: Text) -> np.ndarray:
-    """Last-occurrence positions; see Text.prev.  Index 0 is padding."""
-    return t.prev

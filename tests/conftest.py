@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from genreps.text import Text, text_from_symbols
@@ -14,6 +15,11 @@ SQ_WORD = [1, 3, 2, 2, 4, 3, 4, 4, 1, 2, 3, 2, 3]
 
 def random_text(rng: random.Random, n: int, sigma: int) -> Text:
     return text_from_symbols([rng.randrange(sigma) for _ in range(n)])
+
+
+def lcp(idx, i: int, j: int) -> int:
+    """The LCP of the suffixes i and j of an index: one cell of `lcp_batch`."""
+    return int(idx.lcp_batch(np.array([i]), np.array([j]))[0])
 
 
 def fibonacci(n: int) -> list[int]:

@@ -25,6 +25,16 @@ def runs_file(tmp_path_factory):
     return str(p)
 
 
+def test_parser_built_once_per_process(runs_file, capsys):
+    """main reuses one parser, and no flag of one call carries into the next."""
+    from genreps import cli
+
+    assert cli._parser() is cli._parser()
+    for argv in (["kruns", runs_file, "--period", "8", "--format", "jsonl"], ["kruns", runs_file, "--period", "8"]):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == run_cli(argv)[1]
+
+
 def test_kruns_known_rows(runs_file):
     code, out, _ = run_cli(["kruns", runs_file, "-k", "2", "--period", "8"])
     assert code == 0

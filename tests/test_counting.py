@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import fibonacci, random_text
+from conftest import fibonacci, lcp, random_text
 from genreps import counting, encodings, oracle, repeats
 from genreps.counting import (
     count_distinct,
@@ -50,7 +50,7 @@ def test_nonextendible_random_vs_lcp_definition():
                 want = set()
                 for i in range(1, t.n + 1):
                     for p in range(1, (t.n - i + 1) // 2 + 1):
-                        if idx.lcp_suffixes(i, i + p) == p:
+                        if lcp(idx, i, i + p) == p:
                             want.add((i, p))
                 assert got == want, (idx.relation, t.symbols)
 

@@ -27,8 +27,17 @@ def test_param_code_window_clip():
 
 def test_recency_prefix_codes_example():
     t = text_from_symbols(EX_TEXT)
-    enc = make_encoder(t, "recency")
-    assert [enc.code(1, j) for j in range(1, 10)] == [0, 1, 1, 0, 1, 2, 1, 2, 3]
+    assert profiles(t).forward[1:].tolist() == [0, 1, 1, 0, 1, 2, 1, 2, 3]
+
+
+def test_unknown_relation_rejected():
+    """Only the five relations and the reversed-text twin ct_suffix have
+    encoders; "recency" is no relation (its codes live on in `profiles`)."""
+    t = parse_text(b"abc")
+    assert RELATIONS == ("exact", "param", "op", "ct", "pal")
+    for relation in ("recency", "none"):
+        with pytest.raises(ValueError):
+            make_encoder(t, relation)
 
 
 def test_pal_code_whole_palindrome():
@@ -39,7 +48,7 @@ def test_pal_code_whole_palindrome():
 
 def test_single_symbol_codes():
     t = text_from_symbols([3, 1, 4])
-    expected = {"exact": t.symbols[1], "param": 0, "ct": 0, "op": 0, "pal": 1, "recency": 0}
+    expected = {"exact": t.symbols[1], "param": 0, "ct": 0, "op": 0, "pal": 1}
     for rel, want in expected.items():
         assert make_encoder(t, rel).code(2, 2) == want
 
@@ -131,15 +140,6 @@ def test_profiles_values_below_sigma():
         assert max(prof.backward[1:]) < t.sigma
 
 
-def test_recency_substring_codes_vs_definition():
-    rng = random.Random(9)
-    t = random_text(rng, 40, 3)
-    enc = make_encoder(t, "recency")
-    for i in range(1, t.n + 1):
-        for j in range(i, t.n + 1):
-            assert enc.code(i, j) == oracle.brute_recency_code(t, i, j)
-
-
 @pytest.mark.parametrize("relation", [*RELATIONS, "ct_suffix"])
 def test_encoding_soundness(relation):
     """Equal prefix codes iff the definitional matcher accepts (both directions)."""
@@ -159,18 +159,19 @@ def test_encoding_soundness(relation):
 
 
 def test_recency_is_param_encoding():
-    """The recency codes characterize parameterized matching too."""
+    """The recency codes characterize parameterized matching too: two
+    windows match exactly when their rows of prefix codes agree."""
     rng = random.Random(77)
     for _ in range(6):
         t = random_text(rng, rng.randint(2, 30), rng.choice([2, 3, 4]))
-        enc = make_encoder(t, "recency")
         n = t.n
         s = t.padded
         for _ in range(100):
             ln = rng.randint(1, n)
             i1 = rng.randint(1, n - ln + 1)
             i2 = rng.randint(1, n - ln + 1)
-            got = scer_match(enc, i1, i1 + ln - 1, i2, i2 + ln - 1)
+            row1, row2 = ([oracle.brute_recency_code(t, i, j) for j in range(i, i + ln)] for i in (i1, i2))
+            got = row1 == row2
             want = oracle.param_match(s[i1 : i1 + ln], s[i2 : i2 + ln])
             assert got == want
 
@@ -241,10 +242,10 @@ def test_pal_code_and_block_match_oracle():
                 assert got == want + [-1] * (depth - len(want))
 
 
-@pytest.mark.parametrize("relation", [*RELATIONS, "ct_suffix", "recency"])
+@pytest.mark.parametrize("relation", [*RELATIONS, "ct_suffix"])
 def test_code_block_matches_oracle(relation):
     """Every encoder's code block equals the codes computed from the
-    definitions (`oracle.canonical_rows`, `oracle.brute_recency_code`).
+    definitions (`oracle.canonical_rows`).
 
     Alphabets of 1, 2 and 4 symbols check that the op wavelet matrix has a
     level for the threshold v + 1 = sigma; periodic texts take the
@@ -262,10 +263,7 @@ def test_code_block_matches_oracle(relation):
         n = t.n
         enc = make_encoder(t, relation)
         starts = np.array(sorted(rng.sample(range(1, n + 2), rng.randint(1, n + 1))))
-        if relation == "recency":
-            rows = {s: [oracle.brute_recency_code(t, s, j) for j in range(s, n + 1)] for s in starts.tolist()}
-        else:
-            rows = oracle.canonical_rows(t, relation)
+        rows = oracle.canonical_rows(t, relation)
         for t0, depth in ((0, n + 1), (rng.randint(0, n), rng.randint(1, n + 3))):
             want = [(rows[s] + [-1] * (depth + t0))[t0 : t0 + depth] for s in starts.tolist()]
             got = enc.code_block(starts, t0, depth)

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import fibonacci, random_text
+from conftest import fibonacci, lcp, random_text
 from genreps import index, oracle
 from genreps.encodings import RELATIONS, Encoder, make_encoder
 from genreps.index import ScerIndex, TreeView
@@ -39,7 +39,7 @@ def test_empty_text_index():
     for rel in RELATIONS:
         idx = ScerIndex(parse_text(b""), rel)
         assert list(idx.order) == [1]
-        assert idx.lcp_suffixes(1, 1) == 0
+        assert lcp(idx, 1, 1) == 0
 
 
 def test_adjacent_lcp_matches_definition():
@@ -61,8 +61,8 @@ def test_adjacent_lcp_matches_definition():
 
 def test_lcp_suffixes_reflexive_and_example(sq_text):
     idx = ScerIndex(sq_text, "param")
-    assert idx.lcp_suffixes(3, 3) == sq_text.n - 3 + 1
-    assert idx.lcp_suffixes(3, 7) >= 4
+    assert lcp(idx, 3, 3) == sq_text.n - 3 + 1
+    assert lcp(idx, 3, 7) >= 4
 
 
 def test_lcp_suffixes_all_pairs_small():
@@ -77,7 +77,7 @@ def test_lcp_suffixes_all_pairs_small():
                     want = (
                         t.n - i + 1 if i == j else oracle.brute_lcp(rows, i, j)
                     )
-                    assert idx.lcp_suffixes(i, j) == want
+                    assert lcp(idx, i, j) == want
 
 
 def test_lpf_examples():
@@ -136,18 +136,24 @@ def test_min_table_batch_query_vs_brute():
 
 
 def test_min_table_prev_next_smaller_vs_brute():
+    """prev_smaller, and next-smaller as the threshold descent
+    first_at_most(r + 1, arr[r] - 1) on the array ended by a sentinel cell
+    below every value, as `ScerIndex.rmq` and `ScerIndex.lpf` search."""
     for arr in _tie_arrays():
         m = len(arr)
         table = index._MinTable(arr)
+        ended = index._MinTable([*arr, -1])
         pos = np.arange(m)
+        vals = np.array(arr, dtype=np.int64)
         prev = [max((q for q in range(r) if arr[q] < arr[r]), default=-1) for r in range(m)]
         nxt = [min((q for q in range(r + 1, m) if arr[q] < arr[r]), default=m) for r in range(m)]
         assert table.prev_smaller(pos).tolist() == prev, arr
-        assert table.next_smaller(pos).tolist() == nxt, arr
+        assert ended.prev_smaller(pos).tolist() == prev, arr
+        assert ended.first_at_most(pos + 1, vals - 1).tolist() == nxt, arr
         # any subset of positions, in any order
         sub = pos[::-3]
         assert table.prev_smaller(sub).tolist() == [prev[r] for r in sub]
-        assert table.next_smaller(sub).tolist() == [nxt[r] for r in sub]
+        assert ended.first_at_most(sub + 1, vals[sub] - 1).tolist() == [nxt[r] for r in sub]
         # the threshold descent, on thresholds that some q >= lo meets
         lo = pos[::-1]
         thr = np.array([arr[(r * 7 + 3) % (m - r) + r] for r in lo], dtype=np.int64)
@@ -156,15 +162,18 @@ def test_min_table_prev_next_smaller_vs_brute():
 
 
 def test_lcp_batch_matches_lcp_suffixes():
+    """One lcp_batch over every pair of suffixes, the empty suffix n+1 and
+    equal positions included, equals the LCPs of the code rows."""
     rng = random.Random(23)
     for t in [random_text(rng, n, s) for n in (0, 1, 5, 16, 17, 40) for s in (1, 2, 4)]:
         for rel in RELATIONS:
             idx = ScerIndex(t, rel)
+            rows = oracle.canonical_rows(t, rel)
             pairs = [(i, j) for i in range(1, t.n + 2) for j in range(1, t.n + 2)]
             i = np.array([p[0] for p in pairs], dtype=np.int64)
             j = np.array([p[1] for p in pairs], dtype=np.int64)
             got = idx.lcp_batch(i, j).tolist()
-            assert got == [idx.lcp_suffixes(a, b) for a, b in pairs]
+            assert got == [oracle.brute_lcp(rows, a, b) for a, b in pairs]
 
 
 def test_tree_lca_weights_match_lcp():
@@ -178,7 +187,7 @@ def test_tree_lca_weights_match_lcp():
             starts = list(idx.order)
             for _ in range(60):
                 i, j = rng.sample(starts, 2)
-                assert tree.lca_weight(i, j) == idx.lcp_suffixes(i, j)
+                assert tree.lca_weight(i, j) == lcp(idx, i, j)
 
 
 def test_tree_leaf_order_matches_index():
@@ -207,16 +216,12 @@ def test_order_invariant_under_alphabet_bijection():
 def _reference(t, rel):
     """Order and adjacent LCPs from sorting the materialized code rows.
 
-    The rows come from `oracle.canonical_rows`, and for recency from
-    `oracle.brute_recency_code`, so none depends on the encoders.  Bare
-    rows sort like rows ending in the end-marker, which lies below every
-    code.
+    The rows come from `oracle.canonical_rows`, so none depends on the
+    encoders.  Bare rows sort like rows ending in the end-marker, which
+    lies below every code.
     """
     n = t.n
-    if rel == "recency":
-        rows = [[]] + [[oracle.brute_recency_code(t, i, j) for j in range(i, n + 1)] for i in range(1, n + 2)]
-    else:
-        rows = oracle.canonical_rows(t, rel)
+    rows = oracle.canonical_rows(t, rel)
     order = sorted(range(1, n + 2), key=rows.__getitem__)
     lcp = [0] + [oracle.brute_lcp(rows, a, b) for a, b in zip(order, order[1:])]
     return order, lcp
@@ -226,7 +231,7 @@ def test_index_equals_reference():
     """Prefix doubling (exact) and the block sort (every other relation)
     agree with the sorted code rows on longer texts and at every n up to 20."""
     rng = random.Random(16)
-    rels = ("exact", "param", "ct", "ct_suffix", "op", "pal", "recency")
+    rels = ("exact", "param", "ct", "ct_suffix", "op", "pal")
     cases = [(random_text(rng, rng.randint(280, 420), rng.choice([2, 3, 4])), rel) for rel in rels]
     for n in range(21):
         for _ in range(3):
@@ -331,7 +336,7 @@ def test_block_sort_narrow_rounds(monkeypatch):
     rng = random.Random(20)
     for _ in range(400):
         t = random_text(rng, rng.randint(0, 70), rng.choice([1, 2, 3, 4]))
-        for rel in ("param", "op", "ct", "ct_suffix", "pal", "recency"):
+        for rel in ("param", "op", "ct", "ct_suffix", "pal"):
             idx = ScerIndex(t, rel)
             order, lcp = _reference(t, rel)
             assert list(idx.order) == order, (rel, t.symbols)
@@ -476,11 +481,3 @@ def test_quasi_suffix_condition_holds():
                     l = oracle.brute_lcp(rows, i, j)
                     if l > 0:
                         assert oracle.brute_lcp(rows, i + 1, j + 1) >= l - 1
-
-
-def test_out_of_range_lcp_query():
-    idx = ScerIndex(parse_text(b"ab"), "exact")
-    with pytest.raises(ValueError):
-        idx.lcp_suffixes(0, 1)
-    with pytest.raises(ValueError):
-        idx.lcp_suffixes(1, 5)

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import fibonacci, random_text
+from conftest import fibonacci, lcp, random_text
 from genreps import oracle
 from genreps.counting import count_distinct, count_nonequivalent, squares_table
 from genreps.index import ScerIndex, _MinTable
@@ -123,8 +123,8 @@ def test_verified_equal_brute_membership():
 
 
 def test_verify_batch_equals_per_piece_queries():
-    """The batch LCP test keeps exactly the pieces that one lcp_suffixes
-    query per piece keeps, in the same order."""
+    """The batch LCP test keeps exactly the pieces that one LCP query per
+    piece keeps, in the same order."""
     rng = random.Random(6)
     texts = [random_text(rng, rng.randint(2, 150), rng.choice([2, 3, 4, 26])) for _ in range(20)]
     texts += [text_from_symbols(sym) for n in (2, 17, 60, 233) for sym in ([0] * n, fibonacci(n))]
@@ -133,7 +133,7 @@ def test_verify_batch_equals_per_piece_queries():
         cands = candidate_intervals(t)
         want = {}
         for ell, pieces in cands.items():
-            kept = [[lo, hi] for lo, hi in pieces.tolist() if idx.lcp_suffixes(lo, lo + ell) >= ell]
+            kept = [[lo, hi] for lo, hi in pieces.tolist() if lcp(idx, lo, lo + ell) >= ell]
             if kept:
                 want[ell] = kept
         got = verify_intervals(t, cands, idx)

@@ -149,41 +149,29 @@ def test_count_matches_enumeration():
 
 
 def test_input_forms_agree(runs_text):
-    """A Text, a plain list and a 1-based ndarray padded with -1 give one
-    answer from every function of the module, and so does a padded list
-    whose symbols include -1."""
-    texts = [runs_text, random_text(random.Random(12), 150, 2), text_from_symbols([4] * 9)]
-    for t in texts:
-        forms = [
-            t,
-            list(t.symbols),
-            np.array(t.padded, dtype=np.int64),
-            [-1] + [x - 1 for x in t.symbols],
-        ]
-        answers = []
-        for f in forms:
-            half = t.n // 2
-            answers.append(
-                (
-                    [mismatch_positions(f, ell) for ell in range(1, t.n + 1)],
-                    [
-                        is_k_mismatch_square(f, i, ell, k)
-                        for ell in range(1, half + 1)
-                        for i in range(1, t.n - 2 * ell + 2)
-                        for k in (0, 2)
-                    ],
-                    [uniform_start_intervals(f, ell, 2).tolist() for ell in range(0, half + 2)],
-                    uniform_k_runs(f, 2),
-                    uniform_k_runs(f, 1, periods=[3, 8]),
-                    count_uniform_k_runs(f, 2),
-                    k_runs(f, 2),
-                    k_runs(f, 0, periods=4),
-                    generalised_runs(f),
-                    mgrs(f),
-                    mgrs(f, Fraction(5, 2)),
-                )
-            )
-        assert all(a == answers[0] for a in answers[1:])
+    """Every entry point of the module takes a Text only: a list, a tuple
+    or an array of symbols is a TypeError, also a list whose leading -1
+    would once have read as a pad."""
+    forms = [[-1, 5, -1, 5, 7], [9, 5, 9, 5, 7], runs_text.symbols, np.array(runs_text.padded)]
+    calls = [
+        lambda f: mismatch_positions(f, 2),
+        lambda f: is_k_mismatch_square(f, 1, 2, 0),
+        lambda f: uniform_start_intervals(f, 2, 1),
+        lambda f: uniform_k_runs(f, 1),
+        lambda f: count_uniform_k_runs(f, 1),
+        lambda f: k_runs(f, 1),
+        generalised_runs,
+        mgrs,
+        lambda f: mgrs(f, 2),
+        repeats.jump_index,
+    ]
+    for f in forms:
+        for call in calls:
+            with pytest.raises(TypeError):
+                call(f)
+    t = text_from_symbols([9, 5, 9, 5, 7])
+    assert mismatch_positions(t, 2) == [3]
+    assert generalised_runs(text_from_symbols([9, 5, 9, 5])) == [GeneralisedRun(1, 5, 2)]
 
 
 def test_alpha_filter():
@@ -433,9 +421,8 @@ def test_shared_jump_index():
         assert _sampled(t, k, index=jumps) == _sampled(t, k)
     assert generalised_runs(t, index=jumps) == generalised_runs(t)
     assert mgrs(t, 2, index=jumps) == mgrs(t, 2)
-    assert k_runs(t.symbols, 1, index=jumps) == k_runs(t, 1)
     other = random_text(random.Random(20), 150, 3)
-    for wrong in (t.reversed().symbols[1:], t.reversed(), other):
+    for wrong in (text_from_symbols(t.reversed().symbols[1:]), t.reversed(), other):
         for run in (k_runs, uniform_k_runs, count_uniform_k_runs):
             with pytest.raises(ValueError):
                 run(t, 1, index=repeats.jump_index(wrong))

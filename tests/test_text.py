@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from genreps.text import parse_text, prev_array, text_from_symbols
+from genreps.text import parse_text, text_from_symbols
 
 
 def test_parse_bytes_dense_remap():
@@ -39,12 +39,12 @@ def test_parse_errors():
 
 def test_prev_array_example():
     t = text_from_symbols([1, 2, 1, 1, 2, 3, 2, 1, 4])
-    assert list(prev_array(t)[1:]) == [0, 0, 1, 3, 2, 0, 5, 4, 0]
+    assert list(t.prev[1:]) == [0, 0, 1, 3, 2, 0, 5, 4, 0]
 
 
 def test_prev_array_constant_and_distinct():
-    assert list(prev_array(text_from_symbols([5, 5, 5]))[1:]) == [0, 1, 2]
-    assert list(prev_array(text_from_symbols([4, 7, 1, 9]))[1:]) == [0, 0, 0, 0]
+    assert list(text_from_symbols([5, 5, 5]).prev[1:]) == [0, 1, 2]
+    assert list(text_from_symbols([4, 7, 1, 9]).prev[1:]) == [0, 0, 0, 0]
 
 
 def test_prev_counts_invariants():
@@ -53,7 +53,7 @@ def test_prev_counts_invariants():
     for _ in range(20):
         n = rng.randint(0, 60)
         t = text_from_symbols([rng.randrange(3) for _ in range(n)])
-        prev = prev_array(t)
+        prev = t.prev
         s = t.padded
         for i in range(1, n + 1):
             p = int(prev[i])
