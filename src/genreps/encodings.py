@@ -7,7 +7,7 @@ end-marker strictly below every code.
 
 Each encoder computes its codes in one place, the vectorized
 `code_block(starts, t0, depth)`, which returns a block of prefix codes
-for many suffixes at once; `Encoder.code(i, j)` is a single cell of it.
+for many suffixes at once; a single code is a one-row, one-column block.
 
 Relations: "exact" (equality), "param" (parameterized matching, i.e. a
 bijection between alphabets), "op" (order-preserving), "ct" (equal
@@ -43,12 +43,6 @@ class Encoder:
         s+t0+c runs past n.
         """
         raise NotImplementedError
-
-    def code(self, i: int, j: int) -> int:
-        """Code of T[i..j], 1 <= i <= j <= n: one cell of `code_block`."""
-        if not (1 <= i <= j <= self.text.n):
-            raise ValueError(f"positions [{i}..{j}] out of range for n={self.text.n}")
-        return int(self.code_block(np.array([i]), j - i, 1)[0, 0])
 
 
 def _block_cells(starts: np.ndarray, t0: int, depth: int, n: int):

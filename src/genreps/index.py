@@ -5,11 +5,12 @@ contributes the sequence of codes of its prefixes, terminated by an
 end-marker below every code), stores the order, its inverse (rank) and
 the adjacent-pair LCP array as int32 numpy arrays, and answers
 longest-common-equivalent-prefix queries between any two suffixes via
-range-minimum queries on a numpy sparse table, a whole batch at once.
-The same table finds every position's previous smaller value by a
-binary-lifting descent, and its next smaller one by the threshold
-descent `first_at_most`, which always stops at a sentinel cell below
-every value at the end of the array.  Those give the LCP intervals of
+range-minimum queries on a numpy sparse table, a whole batch at once;
+the p-square reports split their intervals with the same batch minima
+(`psquares`).  The same table finds every position's previous smaller
+value by a binary-lifting descent, and its next smaller one by the
+threshold descent `first_at_most`, which always stops at a sentinel cell
+below every value at the end of the array.  Those give the LCP intervals of
 the counting pass and, over the suffix order, the longest-previous-factor
 array in one batched pass.  A weighted tree view of the compacted trie
 serves the tests.
@@ -51,11 +52,10 @@ class _MinTable:
 
     Row k of one (levels x m) numpy array (int32 where the values fit)
     holds the minimum of every window of 2**k cells, clipped at the end of
-    the array.  Queries take O(1) cells each: scalar ones read two cells,
-    batch ones run elementwise over arrays of ranges, and the previous-smaller
-    search and the threshold descent `first_at_most` descend the rows by
-    binary lifting, one elementwise round per row over all of their
-    positions at once.
+    the array.  Every query runs elementwise over arrays: `query_batch`
+    reads two cells per range, and the previous-smaller search and the
+    threshold descent `first_at_most` descend the rows by binary lifting,
+    one elementwise round per row over all of their positions at once.
     """
 
     def __init__(self, arr):
@@ -72,13 +72,6 @@ class _MinTable:
         self._rows = list(tab)  # one row gathers faster than tab[k, idx]
         self._m = m
         self._log: np.ndarray | None = None
-
-    def query(self, lo: int, hi: int) -> int:
-        """min(arr[lo..hi]), inclusive; requires lo <= hi."""
-        k = (hi - lo + 1).bit_length() - 1
-        tab = self._tab
-        a, b = tab.item(k, lo), tab.item(k, hi - (1 << k) + 1)
-        return a if a < b else b
 
     def query_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """min(arr[lo..hi]) for each pair of the arrays; requires lo <= hi."""

@@ -5,12 +5,15 @@ The reports read the p-square starts from the param square table of
 half-length: O(n log n) rows in all.  Building it takes the param index
 of the text and of its reverse, whose suffix sort reads Θ(sum of LCPs)
 code cells, so periodic texts cost more.
-Leftmost-occurrence reporting splits those intervals recursively at
-minima of a longest-previous-factor array, read from one sparse table
-over the packed keys lpf[i]·m + i: a range's minimum key names both its
-smallest LPF and the leftmost position holding it.  The output is
-{(i, 2l) : i starts a p-square of half-length l, lpf[i] < 2l}, so any
-family of intervals with the same starts gives the same report.  The
+Leftmost-occurrence reporting splits those intervals at minima of a
+longest-previous-factor array, read from one sparse table over the
+packed keys lpf[i]·m + i: a range's minimum key names both its smallest
+LPF and the leftmost position holding it.  The split runs in rounds of
+one batch query each over every live range, and a range at least halves
+from one round to the next: floor(log2 m) + 1 batch queries over
+#intervals + 4·#reports ranges at most, and no loop per report.  The
+output is {(i, 2l) : i starts a p-square of half-length l, lpf[i] < 2l},
+so any family of intervals with the same starts gives the same report.  The
 non-equivalent report reads the param LPF from the table's own index,
 the distinct one the exact LPF; `table=` and `exact_index=` reuse ones
 already built, and must be those of the text.
@@ -122,38 +125,41 @@ def verify_intervals(
 def _report_from_intervals(
     family: dict[int, np.ndarray], lpf: np.ndarray
 ) -> list[tuple[int, int]]:
-    """Positions whose previous-factor length is shorter than the square:
-    recursive range-minimum splitting, one report per fresh occurrence.
+    """Positions whose previous-factor length is shorter than the square,
+    found in rounds of batch range-minimum queries.
 
     One sparse table over the packed keys lpf[i]·m + i (m = len(lpf))
     gives a range's smallest LPF and its leftmost position at once, and
-    lpf[i] < 2l exactly when the key is below 2l·m.  One batch query drops
-    every interval whose minimum is not below that; only the rest split.
+    lpf[i] < 2l exactly when the key is below the bound 2l·m.  Each round
+    answers every live range with one batch query: a range whose minimum
+    key is not below its bound is dropped, and any other reports that
+    position i and passes on the halves of its parts left and right of i.
+    The first round, over the intervals themselves, drops every interval
+    with no report.  Ranges at least halve per round, so a call makes at
+    most floor(log2 m) + 1 batch queries over at most #intervals +
+    4·#reports ranges.  One sort of the packed values 2l·m + i orders the
+    reports by (2l, i).
     """
     ell, lo, hi = _flatten(family)
-    if not len(lo):
-        return []
     m = len(lpf)
     table = _MinTable(np.asarray(lpf, dtype=np.int64) * m + np.arange(m))
-    limit = ell * (2 * m)
-    out: list[tuple[int, int]] = []
-    for k in (table.query_batch(lo, hi) < limit).nonzero()[0].tolist():
-        bound = limit.item(k)
-        length = bound // m
-        stack = [(lo.item(k), hi.item(k))]
-        while stack:
-            a, b = stack.pop()
-            if a > b:
-                continue
-            key = table.query(a, b)
-            if key >= bound:
-                continue
-            i = key % m
-            out.append((i, length))
-            stack.append((a, i - 1))
-            stack.append((i + 1, b))
-    out.sort(key=lambda oc: (oc[1], oc[0]))
-    return out
+    bound = ell * (2 * m)
+    found = [bound[:0]]  # one array to concatenate, also with no intervals
+    while len(lo):
+        key = table.query_batch(lo, hi)
+        hit = key < bound
+        i = key[hit] % m
+        lo, hi, bound = lo[hit], hi[hit], bound[hit]
+        found.append(bound + i)
+        # the parts left and right of i, then their halves; a part is
+        # empty only as [x+1..x], and both its halves are then empty too
+        lo, hi = np.concatenate((lo, i + 1)), np.concatenate((i - 1, hi))
+        mid = (lo + hi) >> 1
+        lo, hi = np.concatenate((lo, mid + 1)), np.concatenate((mid, hi))
+        keep = lo <= hi
+        lo, hi, bound = lo[keep], hi[keep], np.tile(bound, 4)[keep]
+    out = np.sort(np.concatenate(found))
+    return list(zip((out % m).tolist(), (out // m).tolist()))
 
 
 def report_nonequivalent(t: Text, *, table: SquaresTable | None = None) -> PSquareReport:

@@ -24,10 +24,11 @@ and Sokol (J. Comput. Biol. 2001) and Kolpakov and Kucherov (TCS 2003):
 * the good starts of sample q are the union over a of (b_{a+1},
   f_{k-a+1} - l], clipped to the windows holding q, and one running
   maximum over them, in sample order, merges them into k-runs;
-* a sample's uniform segments are cut at its b's, f's and f-l's, a
+* a sample's uniform segments are cut at its b's and f-l's only (an f
+  is at least q, so it falls on or past the sample's last start), a
   segment's count is #{b >= u} + #{f <= u+l-1} at its first start u, and
-  a segment that reaches the sample's last start with no cut there goes on
-  in the next sample;
+  a segment that reaches the sample's last start with no cut there goes
+  on in the next sample;
 * an MGR with gap ratio l/u <= alpha has an arm u >= ceil(l/alpha), so it
   holds a multiple of that step: one jump each way from those samples.
 
@@ -50,6 +51,7 @@ not given and checked against the text when it is.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -130,7 +132,7 @@ def _periods(n: int, periods) -> np.ndarray:
     half = n // 2
     if periods is None:
         return np.arange(1, half + 1)
-    if isinstance(periods, int):
+    if isinstance(periods, numbers.Integral):
         periods = (periods,)
     return np.array(sorted({p for p in periods if 1 <= p <= half}), dtype=np.int64)
 
@@ -347,18 +349,19 @@ def _uniform_segments(t: Text, k: int, periods, index):
         return
     index = _index_for(t, index)
     k = min(k, int(ells.max()))
-    for p, ell, q in _chunks(n, ells, ells, 3 * k + 5):
+    for p, ell, q in _chunks(n, ells, ells, 2 * k + 4):
         B, F = _jumps(index, n, ell, q, min(k, int(ell.max())))
         lo, hi = _good_starts(n, ell, q, B, F)
         live = (lo <= hi).any(axis=1)  # no good start, no uniform k-run
         if not live.any():
             continue
         ell, q, B, F = ell[live], q[live], B[live], F[live]
-        # segment starts lie in (c0..c1]; cuts come from d[c] (the b's and
-        # f = q) and d[c+l] (the f - l's), and those outside move onto c1
+        # segment starts lie in (c0..c1]; cuts come from d[c] (the b's; an
+        # f is at least q >= c1) and d[c+l] (the f - l's), and those
+        # outside move onto c1
         c0 = (q - ell)[:, None]
         c1 = np.minimum(q, n - 2 * ell + 1)[:, None]
-        cuts = np.concatenate((c0, c1, B, F, F - ell[:, None]), axis=1)
+        cuts = np.concatenate((c0, c1, B, F - ell[:, None]), axis=1)
         cuts = np.where((cuts < c0) | (cuts > c1), c1, cuts)
         cuts.sort(axis=1)
         # a window [u..u+l) holds the known mismatches between two

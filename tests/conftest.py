@@ -22,6 +22,11 @@ def lcp(idx, i: int, j: int) -> int:
     return int(idx.lcp_batch(np.array([i]), np.array([j]))[0])
 
 
+def code(enc, i: int, j: int) -> int:
+    """The code of T[i..j] under an encoder: one cell of `code_block`."""
+    return int(enc.code_block(np.array([i]), j - i, 1)[0, 0])
+
+
 def fibonacci(n: int) -> list[int]:
     """The first n symbols of the Fibonacci word 0100101001001..."""
     a, b = [0], [0, 1]

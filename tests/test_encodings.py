@@ -1,10 +1,11 @@
 import itertools
 import random
+import zlib
 
 import numpy as np
 import pytest
 
-from conftest import fibonacci, random_text
+from conftest import code, fibonacci, random_text
 from genreps import encodings, oracle
 from genreps.encodings import (
     RELATIONS,
@@ -21,8 +22,8 @@ EX_TEXT = [1, 2, 1, 1, 2, 3, 2, 1, 4]
 def test_param_code_window_clip():
     t = text_from_symbols(EX_TEXT)
     enc = make_encoder(t, "param")
-    assert enc.code(1, 3) == 2
-    assert enc.code(2, 3) == 0  # previous occurrence left of the window
+    assert code(enc, 1, 3) == 2
+    assert code(enc, 2, 3) == 0  # previous occurrence left of the window
 
 
 def test_recency_prefix_codes_example():
@@ -43,23 +44,17 @@ def test_unknown_relation_rejected():
 def test_pal_code_whole_palindrome():
     t = parse_text(b"aba")
     enc = make_encoder(t, "pal")
-    assert enc.code(1, 3) == 3
+    assert code(enc, 1, 3) == 3
 
 
 def test_single_symbol_codes():
     t = text_from_symbols([3, 1, 4])
     expected = {"exact": t.symbols[1], "param": 0, "ct": 0, "op": 0, "pal": 1}
     for rel, want in expected.items():
-        assert make_encoder(t, rel).code(2, 2) == want
+        assert code(make_encoder(t, rel), 2, 2) == want
 
 
 def test_code_out_of_range():
-    t = parse_text(b"abc")
-    enc = make_encoder(t, "param")
-    with pytest.raises(ValueError):
-        enc.code(0, 2)
-    with pytest.raises(ValueError):
-        enc.code(2, 4)
     # windows of "aab": [2..4] runs past n, though its second code already
     # differs from that of [1..3]; [0..1] starts before 1
     enc = make_encoder(parse_text(b"aab"), "param")
@@ -143,7 +138,7 @@ def test_profiles_values_below_sigma():
 @pytest.mark.parametrize("relation", [*RELATIONS, "ct_suffix"])
 def test_encoding_soundness(relation):
     """Equal prefix codes iff the definitional matcher accepts (both directions)."""
-    rng = random.Random(hash(relation) & 0xFFFF)
+    rng = random.Random(zlib.crc32(relation.encode()) & 0xFFFF)
     for _ in range(8):
         t = random_text(rng, rng.randint(2, 36), rng.choice([2, 3]))
         enc = make_encoder(t, relation)
@@ -233,7 +228,7 @@ def test_pal_code_and_block_match_oracle():
         enc = make_encoder(t, "pal")
         rows = oracle.canonical_rows(t, "pal")
         for i in range(1, n + 1):
-            assert [enc.code(i, j) for j in range(i, n + 1)] == rows[i]
+            assert [code(enc, i, j) for j in range(i, n + 1)] == rows[i]
         starts = np.arange(1, n + 2)
         for t0, depth in ((0, n + 1), (3, 5), (n // 2, 9)):
             block = enc.code_block(starts, t0, depth).tolist()

@@ -132,7 +132,6 @@ def test_min_table_batch_query_vs_brute():
         hi = np.array([p[1] for p in pairs], dtype=np.int64)
         got = table.query_batch(lo, hi).tolist()
         assert got == [min(arr[a : b + 1]) for a, b in pairs], arr
-        assert got == [table.query(a, b) for a, b in pairs]
 
 
 def test_min_table_prev_next_smaller_vs_brute():

@@ -302,28 +302,33 @@ def test_report_rejects_foreign_table(entry, distinct):
 
 
 def test_report_split_work_follows_output(monkeypatch):
-    """The split makes at most 3 scalar RMQ queries per reported square:
-    every interval kept by the batch query reports at least once, and
-    each report pushes two ranges."""
+    """The split makes at most floor(log2 m) + 1 batch queries (m =
+    len(lpf)), since a range at least halves per round, over at most
+    #intervals + 4·#reports ranges: the first query covers the intervals,
+    and each report passes on at most two parts, each as two halves."""
     rng = random.Random(10)
     texts = [random_text(rng, rng.randint(2, 400), rng.choice([2, 3, 4, 26])) for _ in range(15)]
     texts += [text_from_symbols(sym) for n in (50, 300) for sym in ([0] * n, [i % 3 for i in range(n)], fibonacci(n))]
-    calls = [0]
-    query = _MinTable.query
+    calls, ranges = [0], [0]
+    query_batch = _MinTable.query_batch
 
     def counted(self, lo, hi):
         calls[0] += 1
-        return query(self, lo, hi)
+        ranges[0] += len(lo)
+        return query_batch(self, lo, hi)
 
     total = 0
     for t in texts:
         index = ScerIndex(t, "param")
         table = squares_table(index)
+        intervals = sum(len(rows) for rows in table.intervals.values())
         for lpf in (index.lpf(), ScerIndex(t, "exact").lpf()):
-            calls[0] = 0
+            calls[0] = ranges[0] = 0
             with monkeypatch.context() as m:
-                m.setattr(_MinTable, "query", counted)
+                m.setattr(_MinTable, "query_batch", counted)
                 occs = _report_from_intervals(table.intervals, lpf)
-            assert 0 < calls[0] <= 3 * len(occs), (t.symbols, calls[0], len(occs))
+            assert len(occs) > 0
+            assert calls[0] <= len(lpf).bit_length(), (t.symbols, calls[0], len(lpf))
+            assert ranges[0] <= intervals + 4 * len(occs), (t.symbols, ranges[0], intervals, len(occs))
             total += len(occs)
     assert total > 0

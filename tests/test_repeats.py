@@ -1,5 +1,6 @@
 import bisect
 import math
+import numbers
 import random
 from fractions import Fraction
 
@@ -313,7 +314,7 @@ def _sampled(t, k, periods=None, index=None):
 def _check_against_scan(t, k, periods=None):
     if periods is None:
         asked = range(1, t.n // 2 + 1)
-    elif isinstance(periods, int):
+    elif isinstance(periods, numbers.Integral):
         asked = [periods] if 1 <= periods <= t.n // 2 else []
     else:
         asked = sorted({p for p in periods if 1 <= p <= t.n // 2})
@@ -339,6 +340,13 @@ def test_sampled_matches_scan_reference():
             _check_against_scan(t, k)
         # k above every mismatch count: every window of every period is good
         _check_against_scan(t, t.n + 3)
+    # n about 400 at large k: at k = 64 the samples fill three chunks of the cell budget
+    rng = random.Random(19)
+    texts = [random_text(rng, 400, sigma) for sigma in (2, 4, 26)]
+    texts += [text_from_symbols(sym) for sym in ([i % 3 for i in range(401)], fibonacci(398))]
+    for t in texts:
+        for k in (16, 64):
+            _check_against_scan(t, k)
 
 
 def test_sampled_explicit_periods():
@@ -346,7 +354,7 @@ def test_sampled_explicit_periods():
     for _ in range(12):
         t = random_text(rng, rng.randint(0, 90), rng.choice([2, 3]))
         p = rng.randint(1, 20)
-        for periods in (p, range(p, p + 7), [p + 3, p, p], [0, -2, t.n]):
+        for periods in (p, np.int64(p), range(p, p + 7), [p + 3, p, p], [0, -2, t.n]):
             for k in (0, 2):
                 _check_against_scan(t, k, periods)
 
