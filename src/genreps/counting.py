@@ -1,20 +1,20 @@
 """Square tables and square counting under an equivalence relation.
 
 Pipeline, every stage after the suffix index one batched numpy pass:
-the LCP intervals of the index (bounds from previous-/next-smaller
-searches on the LCP array) yield all right non-extendible squares, suffix
-pairs at distance p whose LCP is exactly p, by probing from every child
-range but a largest one of each interval, small-to-large, in chunks of
-bounded size; one batch RMQ filters those down to right non-shiftable
-squares; running the same machinery on the reversed text gives the left
-non-shiftable squares; one lexsort per side pairs them, per half-period p,
-into the disjoint maximal intervals of square start positions.  The count
-is then an offline dominance count over those intervals, squares counted
-at their leftmost occurrences: for each interval, the positions k in it
-whose longest previous factor (under the relation for the non-equivalent
-count, under equality for the distinct-as-strings count) is below the
-square's length, answered by a wavelet matrix over the LPF array.
-The squares pass from stage to stage as (m, 2) int64 arrays of (i, p)
+the LCP intervals of the index (`index.TreeView`, bounds from
+previous-/next-smaller searches on the LCP array) yield all right
+non-extendible squares, suffix pairs at distance p whose LCP is exactly
+p, by probing from every child range but a largest one of each interval,
+small-to-large, in chunks of bounded size; one batch RMQ filters those
+down to right non-shiftable squares; running the same machinery on the
+reversed text gives the left non-shiftable squares; one lexsort per side
+pairs them, per half-period p, into the disjoint maximal intervals of
+square start positions.  The count is then an offline dominance count
+over those intervals, squares counted at their leftmost occurrences: for
+each interval, the positions k in it whose longest previous factor (under
+the relation for the non-equivalent count, under equality for the
+distinct-as-strings count) is below the square's length, answered by a
+wavelet matrix over the LPF array.  The squares pass from stage to stage as (m, 2) int64 arrays of (i, p)
 rows, and every stage reads the index's order, rank and LCP arrays as
 they are.  A family of square start intervals, here and in
 `genreps.psquares`, is a dict from half-period to a (k, 2) int64 array
@@ -34,58 +34,33 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encodings import REVERSED_RELATION, PalEncoder, _WaveletMatrix
-from .index import _ROUND_CELLS, ScerIndex
+from .index import _ROUND_CELLS, ScerIndex, TreeView, _run_starts
 from .text import Text
-
-
-def _run_starts(v: np.ndarray) -> np.ndarray:
-    """Mask of the positions where a run of equal values starts in v."""
-    new = np.empty(len(v), dtype=bool)
-    new[:1] = True
-    np.not_equal(v[1:], v[:-1], out=new[1:])
-    return new
 
 
 def _probe_ranges(index: ScerIndex) -> tuple[np.ndarray, ...]:
     """The child ranges the right non-extendible pass probes from.
 
-    Every position r with lcp[r] = w > 0 cuts the LCP interval of weight w
-    around it, [lo, end) with lo and end the nearest positions on either
-    side whose LCP is below w, so the interval is keyed by (lo, w).  Its
-    children are the ranges between consecutive cuts.  Returns int32
-    arrays (lo, end, a, b, w) with one entry per child [a, b) of an
-    interval [lo, end) of weight w, for every child except the first
-    largest one.
+    The children of an LCP interval (`TreeView`) are the ranges between
+    its consecutive cuts.  Returns int32 arrays (lo, end, a, b, w) with one
+    entry per child [a, b) of an interval [lo, end) of weight w, for every
+    child except the first largest one.
     """
-    lcp = index.lcp
-    m = len(lcp)
-    cut = lcp.nonzero()[0].astype(np.int32)  # lcp[0] = 0
-    if not len(cut):
-        return (cut,) * 5
-    rmq = index.rmq
-    key = lcp[cut] * np.int64(m)
-    key += rmq.prev_smaller(cut)
-    # group the cuts by interval, in position order within each
-    perm = key.argsort(kind="stable")
-    cut, key = cut[perm], key[perm]
-    del perm
-    new = _run_starts(key)
-    heads = new.nonzero()[0]  # the first cut of each interval
-    w, lo = (v.astype(np.int32) for v in np.divmod(key[heads], m))
-    del key
-    # the next position with an LCP below w: the sentinel -1 ends the rmq
-    end = rmq.first_at_most(cut[heads] + 1, w - 1).astype(np.int32)
+    tree = TreeView(index)
+    heads, lo, end, w = tree.heads, tree.lo, tree.end, tree.weight
+    if not len(w):
+        return (w,) * 5
     # an interval with cuts c1 < ... < ck has children [lo, c1), [c1, c2), ..., [ck, end):
     # with g intervals up to cut j, child j + g starts there and child j + g - 1 ends there
-    at = new.cumsum(dtype=np.int32)
-    at += np.arange(len(cut), dtype=np.int32)
+    at = tree.new.cumsum(dtype=np.int32)
+    at += np.arange(len(at), dtype=np.int32)
     first = at[heads] - 1  # the first child of each interval
-    a = np.empty(len(cut) + len(heads), dtype=np.int32)
+    a = np.empty(len(at) + len(heads), dtype=np.int32)
     b = np.empty_like(a)
     last = np.concatenate((first[1:], [len(a)])) - 1  # the last child of each interval
-    a[at], a[first] = cut, lo
-    b[at - 1], b[last] = cut, end
-    del at, cut
+    a[at], a[first] = tree.cut, lo
+    b[at - 1], b[last] = tree.cut, end
+    del at, tree
     # drop the first largest child of each interval
     size = b - a
     child_node = np.arange(len(heads), dtype=np.int32).repeat(last - first + 1)

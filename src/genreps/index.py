@@ -10,10 +10,10 @@ the p-square reports split their intervals with the same batch minima
 (`psquares`).  The same table finds every position's previous smaller
 value by a binary-lifting descent, and its next smaller one by the
 threshold descent `first_at_most`, which always stops at a sentinel cell
-below every value at the end of the array.  Those give the LCP intervals of
-the counting pass and, over the suffix order, the longest-previous-factor
-array in one batched pass.  A weighted tree view of the compacted trie
-serves the tests.
+below every value at the end of the array.  Over the LCP array those give
+the LCP intervals (`TreeView`, the internal nodes of the suffix tree as
+int32 arrays), which the counting pass reads, and over the suffix order
+the longest-previous-factor array, each in one batched pass.
 
 Construction is deterministic, and the relation alone picks the path at
 every text length, n = 0 included.  Exact matching sorts by prefix
@@ -340,104 +340,55 @@ class ScerIndex:
         return lpf
 
 
-class TreeView:
-    """Compacted trie of the code strings, materialized from order + LCP.
+def _run_starts(v: np.ndarray) -> np.ndarray:
+    """Mask of the positions where a run of equal values starts in v."""
+    new = np.empty(len(v), dtype=bool)
+    new[:1] = True
+    np.not_equal(v[1:], v[:-1], out=new[1:])
+    return new
 
-    Internal nodes carry their string depth as weight; leaves carry the
-    full code-string length (including the end-marker) and are labeled by
-    suffix start positions, left to right in index order.  Each node knows
-    the contiguous range of leaf positions below it, which doubles as the
-    pre/post-order interval for subtree membership tests.
+
+class TreeView:
+    """The LCP intervals of an index: the internal nodes of its suffix tree.
+
+    Every position r with lcp[r] = w > 0 cuts the LCP interval of weight w
+    around it, [lo, end) with lo and end the nearest positions on either
+    side whose LCP is below w (end = n+1 when there is none): the suffixes
+    at positions lo..end-1 share an equivalent prefix of length w, and a
+    cut splits them into children.  One previous-smaller descent gives
+    every cut's lo, one stable argsort groups the cuts by (w, lo), and one
+    threshold descent from the first cut of each interval gives its end.
+
+    Kept as arrays: the grouped cuts `cut`, in position order within each
+    interval; `new`, the mask of the cuts that open an interval; `heads`,
+    their positions in `cut`; and per interval, in (w, lo) order, `lo`,
+    `end` and `weight` (int32).  The root [0, n+1) of weight 0 is implicit.
     """
 
     def __init__(self, index: ScerIndex):
-        n = index.n
-        order = index.order.tolist()
-        lcp = index.lcp.tolist()
-        m = len(order)
-        weight: list[int] = []
-        parent: list[int] = []
-        children: list[list[int]] = []
-        leaf_start: list[int] = []  # 0 for internal nodes
-
-        def new_node(w: int, par: int, start: int = 0) -> int:
-            weight.append(w)
-            parent.append(par)
-            children.append([])
-            leaf_start.append(start)
-            if par >= 0:
-                children[par].append(len(weight) - 1)
-            return len(weight) - 1
-
-        root = new_node(0, -1)
-        leaf = new_node(n - order[0] + 2, root, order[0])
-        stack = [root, leaf]
-        for r in range(1, m):
-            v = lcp[r]
-            last = -1
-            while weight[stack[-1]] > v:
-                last = stack.pop()
-            top = stack[-1]
-            if weight[top] < v:
-                children[top].pop()  # detach `last`, the most recent child
-                mid = new_node(v, top)
-                children[mid].append(last)
-                parent[last] = mid
-                stack.append(mid)
-                top = mid
-            leaf = new_node(n - order[r] + 2, top, order[r])
-            stack.append(leaf)
-        self.root = root
-        self.weight = weight
-        self.parent = parent
-        self.children = children
-        self.leaf_start = leaf_start
-        self.order = order
-        # leaf ranges: leaves appear in `order` sequence; assign leaf
-        # positions in a pre-order walk, then fold upward (reversed
-        # pre-order visits children before parents)
-        lo = [m] * len(weight)
-        hi = [-1] * len(weight)
-        pos = 0
-        visit: list[int] = []
-        node_stack = [root]
-        while node_stack:
-            v = node_stack.pop()
-            visit.append(v)
-            if not children[v]:
-                lo[v] = hi[v] = pos
-                pos += 1
-            else:
-                node_stack.extend(reversed(children[v]))
-        for v in reversed(visit):
-            p = parent[v]
-            if p >= 0:
-                if lo[v] < lo[p]:
-                    lo[p] = lo[v]
-                if hi[v] > hi[p]:
-                    hi[p] = hi[v]
-        self.leaf_lo = lo
-        self.leaf_hi = hi
-        leaf_pos = [-1] * (n + 3)
-        for p, start in enumerate(order):
-            leaf_pos[start] = p
-        self.leaf_pos = leaf_pos
+        lcp = index.lcp
+        m = len(lcp)
+        cut = lcp.nonzero()[0].astype(np.int32)  # lcp[0] = 0
+        rmq = index.rmq
+        key = lcp[cut] * np.int64(m)
+        key += rmq.prev_smaller(cut)
+        perm = key.argsort(kind="stable")
+        self.cut = cut = cut[perm]
+        key = key[perm]
+        del perm
+        self.new = _run_starts(key)
+        self.heads = heads = self.new.nonzero()[0]
+        self.weight, self.lo = (v.astype(np.int32) for v in np.divmod(key[heads], m))
+        del key
+        # the next position with an LCP below w: the sentinel -1 ends the rmq
+        self.end = rmq.first_at_most(cut[heads] + 1, self.weight - 1).astype(np.int32)
+        self.rank = index.rank
 
     def lca_weight(self, i: int, j: int) -> int:
-        """Weight of the lowest common ancestor of the leaves for starts i, j."""
+        """The string depth where the suffixes i != j part: the largest weight
+        of an interval that holds both ranks, 0 (the root) if none does."""
         if i == j:
             raise ValueError("lca of a leaf with itself is the leaf")
-        pi, pj = self.leaf_pos[i], self.leaf_pos[j]
-        lo, hi = min(pi, pj), max(pi, pj)
-        # climb from the leaf at pi until the range covers both
-        v = self._leaf_node(pi)
-        while not (self.leaf_lo[v] <= lo and hi <= self.leaf_hi[v]):
-            v = self.parent[v]
-        return self.weight[v]
-
-    def _leaf_node(self, pos: int) -> int:
-        # linear scan is fine: used by tests only
-        for v in range(len(self.weight)):
-            if not self.children[v] and self.leaf_lo[v] == pos:
-                return v
-        raise ValueError(f"no leaf at position {pos}")
+        ri, rj = sorted((int(self.rank[i]), int(self.rank[j])))
+        holds = (self.lo <= ri) & (rj < self.end)
+        return int(self.weight[holds].max(initial=0))

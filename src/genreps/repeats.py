@@ -43,7 +43,9 @@ MGRs, whose Θ(n^2) output on random text sampling cannot beat, and
 `psquares.candidate_intervals` calls with k = sigma (the p-square reports
 read the param square table instead).  Records store
 fragments as half-open [a..b); reported positions are 1-based.  Functions
-take a Text, and any other input is a TypeError; the sampled ones also
+take a Text, and any other input is a TypeError; k passes through
+`operator.index`, so a numpy integer k is recorded as an int and a float k
+is a TypeError.  The sampled functions also
 take an optional `jump_index` of the text, built once per call when it is
 not given and checked against the text when it is.
 """
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -321,6 +324,7 @@ def _k_run_rows(t: Text, k: int, periods, index):
 
 def k_runs(t: Text, k: int, periods=None, index: ScerIndex | None = None) -> list[KRun]:
     """All maximal k-runs: every window of the stretch is a k-mismatch square."""
+    k = operator.index(k)
     ells, a, last = _k_run_rows(t, k, periods, index)
     return [
         KRun(x, y, ell, k)
@@ -386,6 +390,7 @@ def _uniform_segments(t: Text, k: int, periods, index):
 def uniform_k_runs(t: Text, k: int, periods=None, index: ScerIndex | None = None) -> list[UniformKRun]:
     """All maximal uniform k-runs: stretches of equal-length squares whose
     mismatch sets coincide and have size at most k."""
+    k = operator.index(k)
     ells, firsts, ends, conts, sets = [], [], [], [], []
     ints = np.arange(len(_symbols(t)), dtype=object)  # one int object per position
     for ell, u, last, cont, known, row, lo, hi in _uniform_segments(t, k, periods, index):
@@ -416,7 +421,7 @@ def uniform_k_runs(t: Text, k: int, periods=None, index: ScerIndex | None = None
 def count_uniform_k_runs(t: Text, k: int, periods=None, index: ScerIndex | None = None) -> int:
     """Number of maximal uniform k-runs (no records materialized): one per
     segment that does not go on from the segment before it."""
-    segments = _uniform_segments(t, k, periods, index)
+    segments = _uniform_segments(t, operator.index(k), periods, index)
     return sum(int(np.count_nonzero(~cont)) for _, _, _, cont, *_ in segments)
 
 

@@ -227,8 +227,11 @@ def test_pal_code_and_block_match_oracle():
         n = t.n
         enc = make_encoder(t, "pal")
         rows = oracle.canonical_rows(t, "pal")
-        for i in range(1, n + 1):
-            assert [code(enc, i, j) for j in range(i, n + 1)] == rows[i]
+        # column t0 of every start i with i + t0 <= n, one depth-1 block each
+        for t0 in range(n):
+            starts = np.arange(1, n + 1 - t0)
+            got = enc.code_block(starts, t0, 1)[:, 0].tolist()
+            assert got == [rows[i][t0] for i in starts.tolist()]
         starts = np.arange(1, n + 2)
         for t0, depth in ((0, n + 1), (3, 5), (n // 2, 9)):
             block = enc.code_block(starts, t0, depth).tolist()

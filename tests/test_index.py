@@ -182,20 +182,50 @@ def test_tree_lca_weights_match_lcp():
         for rel in ("exact", "param", "pal"):
             idx = ScerIndex(t, rel)
             tree = TreeView(idx)
-            assert [tree.leaf_start for _ in [0]]  # tree built
             starts = list(idx.order)
             for _ in range(60):
                 i, j = rng.sample(starts, 2)
                 assert tree.lca_weight(i, j) == lcp(idx, i, j)
 
 
-def test_tree_leaf_order_matches_index():
-    t = parse_text(b"banana")
-    idx = ScerIndex(t, "exact")
-    tree = TreeView(idx)
-    leaves = [v for v in range(len(tree.weight)) if not tree.children[v]]
-    leaves.sort(key=lambda v: tree.leaf_lo[v])
-    assert [tree.leaf_start[v] for v in leaves] == list(idx.order)
+def _intervals_by_definition(lcp):
+    """{(lo, end, w)}: for every r with lcp[r] = w > 0, lo the largest q < r
+    and end the smallest q > r with lcp[q] < w, end = n+1 if none."""
+    m = len(lcp)
+    out = set()
+    for r, w in enumerate(lcp):
+        if w > 0:
+            lo = max(q for q in range(r) if lcp[q] < w)
+            end = min((q for q in range(r + 1, m) if lcp[q] < w), default=m)
+            out.add((lo, end, w))
+    return out
+
+
+def test_tree_intervals_match_definition():
+    """TreeView holds each LCP interval once, as the definition gives it,
+    with the cuts of an interval grouped behind its head in position order."""
+    rng = random.Random(11)
+    texts = [random_text(rng, rng.randint(0, 60), sigma) for sigma in (1, 2, 3) for _ in range(8)]
+    texts += [text_from_symbols(s) for s in ([0] * 40, [i % 3 for i in range(41)], fibonacci(55))]
+    for t in texts:
+        indexes = [ScerIndex(t, rel) for rel in RELATIONS] + [ScerIndex(t.reversed(), "ct_suffix")]
+        for idx in indexes:
+            lcp = idx.lcp.tolist()
+            tree = TreeView(idx)
+            got = list(zip(tree.lo.tolist(), tree.end.tolist(), tree.weight.tolist()))
+            assert len(got) == len(set(got)) and set(got) == _intervals_by_definition(lcp)
+            assert tree.weight.dtype == tree.lo.dtype == tree.end.dtype == np.int32
+            assert tree.heads.tolist() == tree.new.nonzero()[0].tolist()
+            for g, (lo, end, w) in enumerate(got):
+                stop = tree.heads[g + 1] if g + 1 < len(got) else len(tree.cut)
+                cuts = tree.cut[tree.heads[g] : stop].tolist()
+                assert cuts == [r for r in range(lo + 1, end) if lcp[r] == w]
+
+
+def test_tree_banana():
+    tree = TreeView(ScerIndex(parse_text(b"banana"), "exact"))
+    got = sorted(zip(tree.lo.tolist(), tree.end.tolist(), tree.weight.tolist()))
+    assert got == [(1, 4, 1), (2, 4, 3), (5, 7, 2)]
 
 
 def test_order_invariant_under_alphabet_bijection():

@@ -1,4 +1,6 @@
 import bisect
+import dataclasses
+import json
 import math
 import numbers
 import random
@@ -173,6 +175,20 @@ def test_input_forms_agree(runs_text):
     t = text_from_symbols([9, 5, 9, 5, 7])
     assert mismatch_positions(t, 2) == [3]
     assert generalised_runs(text_from_symbols([9, 5, 9, 5])) == [GeneralisedRun(1, 5, 2)]
+
+
+def test_numpy_k_gives_int_records(runs_text):
+    """A numpy integer k gives the records of the same int k, with an int
+    k field that serializes to JSON; a float k is a TypeError."""
+    for call in (k_runs, uniform_k_runs):
+        got, want = call(runs_text, np.int64(2)), call(runs_text, 2)
+        assert got == want and all(type(rec.k) is int for rec in got)
+        json.dumps([dataclasses.asdict(rec) for rec in got])
+        with pytest.raises(TypeError):
+            call(runs_text, 2.0)
+    assert count_uniform_k_runs(runs_text, np.int64(2)) == count_uniform_k_runs(runs_text, 2)
+    with pytest.raises(TypeError):
+        count_uniform_k_runs(runs_text, 2.0)
 
 
 def test_alpha_filter():

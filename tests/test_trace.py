@@ -28,6 +28,7 @@ def test_tracer_installs_and_traces_one_cli_job(tmp_path, monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 5
     assert counting.squares_table is table and index.ScerIndex.__init__ is init
     names = {span.name for span in tracer.spans}
-    assert {"cli", "text.parse", "index.build", "index.build_rev", "counting.table"} <= names
+    assert {"cli", "text.parse", "index.build", "index.build_rev", "index.tree", "counting.table"} <= names
     totals = layer_totals(tracer.spans)
     assert totals["counting.table_size.param"] > 0 and totals["cli.self_s"] > 0
+    assert totals["index.tree_nodes.param"] > 0
