@@ -8,6 +8,11 @@ end-marker strictly below every code.
 Each encoder computes its codes in one place, the vectorized
 `code_block(starts, t0, depth)`, which returns a block of prefix codes
 for many suffixes at once; a single code is a one-row, one-column block.
+Every encoder but op's keeps an int32 array A per position, -1 past n
+out to 2n+2 cells, and reads a block as strided windows of it,
+block[r, c] = A[starts[r] + t0 + c], by one row gather (`_windows`);
+its blocks are int32.  Op's codes reach about n**2 and its blocks stay
+int64.
 
 Relations: "exact" (equality), "param" (parameterized matching, i.e. a
 bijection between alphabets), "op" (order-preserving), "ct" (equal
@@ -24,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .text import Text
 
@@ -45,39 +51,59 @@ class Encoder:
         raise NotImplementedError
 
 
-def _block_cells(starts: np.ndarray, t0: int, depth: int, n: int):
-    """Start column s, end position j (clamped to n) and validity of each
-    cell of a code block; see `Encoder.code_block`."""
-    s = np.asarray(starts, dtype=np.int64)[:, None]
-    j = s + np.arange(t0, t0 + depth)
-    valid = j <= n
-    return s, np.minimum(j, n), valid
+def _per_position(values: np.ndarray, n: int) -> np.ndarray:
+    """An int32 array of length 2n+2 with `values` at positions 1..n and
+    -1 elsewhere: past n it covers every block the index's block sort
+    reads (starts.max() + t0 + depth <= 2n+1)."""
+    a = np.full(2 * n + 2, -1, dtype=np.int32)
+    a[1 : n + 1] = values
+    return a
+
+
+def _windows(a: np.ndarray, starts: np.ndarray, t0: int, depth: int) -> np.ndarray:
+    """block[r, c] = a[starts[r] + t0 + c], one row gather of the sliding
+    windows of `a`; a copy of `a` extended with -1 serves rows that read
+    past its end."""
+    starts = np.asarray(starts, dtype=np.intp)
+    need = int(starts.max(initial=0)) + t0 + depth
+    if need > len(a):
+        a = np.concatenate((a, np.full(need - len(a), -1, dtype=a.dtype)))
+    return sliding_window_view(a, depth)[starts + t0]
 
 
 class _ClipEncoder(Encoder):
     """Distance to an anchored previous position, clipped to the window.
 
     The anchor array names, for each position j, the previous position that
-    defines the code; the code is the distance j - anchor[j] when the anchor
-    falls inside the queried window, else 0.
+    defines the code.  D[j] = j - anchor[j] is kept per position (int32,
+    -1 past n); the cell of T[s..s+t] is D[s+t] when D[s+t] <= t (the
+    anchor falls inside the window), else 0.  A block is one window gather
+    of D, one compare against its columns t and one in-place multiply by
+    the result; the end-marker needs no test, since -1 <= t.
     """
 
     def __init__(self, text: Text, anchor: np.ndarray):
         super().__init__(text)
-        self.anchor = anchor
+        n = text.n
+        self._dist = _per_position(np.arange(1, n + 1) - anchor[1:], n)
 
     def code_block(self, starts: np.ndarray, t0: int, depth: int) -> np.ndarray:
-        s, j, valid = _block_cells(starts, t0, depth, self.text.n)
-        a = self.anchor[j]
-        return np.where(valid, np.where(a >= s, j - a, 0), -1)
+        d = _windows(self._dist, starts, t0, depth)
+        return np.multiply(d, d <= np.arange(t0, t0 + depth, dtype=np.int32), out=d)
 
 
 class ExactEncoder(Encoder):
+    """The symbol itself.  The index sorts exact suffixes without blocks
+    (`index._exact_sort`); this code block serves `scer_match`."""
+
     relation = "exact"
 
+    def __init__(self, text: Text):
+        super().__init__(text)
+        self._symbols = _per_position(text.padded_np[1:], text.n)
+
     def code_block(self, starts: np.ndarray, t0: int, depth: int) -> np.ndarray:
-        s, j, valid = _block_cells(starts, t0, depth, self.text.n)
-        return np.where(valid, self.text.padded_np[j], -1)
+        return _windows(self._symbols, starts, t0, depth)
 
 
 class ParamEncoder(_ClipEncoder):
@@ -196,7 +222,11 @@ class OpEncoder(Encoder):
 
     def code_block(self, starts: np.ndarray, t0: int, depth: int) -> np.ndarray:
         text = self.text
-        s, j, valid = _block_cells(starts, t0, depth, text.n)
+        # int64 cells: the codes reach about n**2
+        s = np.asarray(starts, dtype=np.int64)[:, None]
+        j = s + np.arange(t0, t0 + depth)
+        valid = j <= text.n
+        np.minimum(j, text.n, out=j)
         p = text.prev[j]
         # T[j] in the window: alpha = beta = p - s + 1
         out = np.where(valid, np.where(p >= s, (p - s + 1) * (j - s + 2), 0), -1)
@@ -272,9 +302,17 @@ class PalEncoder(Encoder):
     maximal palindrome covers; a sentinel h = 2n+2 reaches n+1.  The
     palindrome at h that ends at j starts at h-j, so the longest suffix
     palindrome of T[s..j] is 2j-h+1 long, for the leftmost h >= s+j with
-    reach[h] >= j (h = 2j, or the sentinel, always qualifies).  Code
-    blocks find h by one descent over a sparse table of the complemented
-    reaches.
+    reach[h] >= j (h = 2j, or the sentinel, always qualifies), found by
+    one threshold descent over a sparse table of the complemented reaches.
+
+    Two window gathers settle most cells of a block before any descent.
+    L(j), the longest palindromic suffix of T[1..j] (what an eertree keeps
+    per position; Rubinchik and Shur, Eur. J. Combin. 2018), is one
+    descent over positions 1..n at construction: when L(j) <= j-s+1 the
+    palindrome starts inside the window and the code is L(j).  Otherwise,
+    when the whole window is a palindrome (E[s+j] <= s for E[h] = h -
+    reach[h]) the code is j-s+1.  Only the cells left after both go to
+    the descent; on unary text none does.
     """
 
     relation = "pal"
@@ -287,16 +325,37 @@ class PalEncoder(Encoder):
         radii = radii if radii is not None else maximal_palindromes(text)
         self.radii = radii
         n = text.n
-        reach = np.full(2 * n + 3, n + 1, dtype=np.int64)
-        c = np.arange(n + 1)
+        reach = np.full(2 * n + 3, n + 1, dtype=np.int32)
+        c = np.arange(n + 1, dtype=np.int32)
         reach[0:-1:2] = c + radii.odd
         reach[1:-1:2] = c + radii.even
         self._reach = _MinTable(~reach)  # reach >= j exactly when ~reach <= ~j
+        j = np.arange(1, n + 1, dtype=np.int32)
+        self._suffix = _per_position(2 * j + 1 - self._reach.first_at_most(j + 1, ~j), n)
+        # E[h] = h - reach[h], padded to 3n+3 cells, which covers the rows
+        # 2s+t0 of every block the block sort reads (s <= n+1, t0+depth <= n);
+        # only cells with j <= n use it, at h = s+j <= 2n
+        self._excess = np.full(3 * n + 3, -1, dtype=np.int32)
+        self._excess[: 2 * n + 3] = np.arange(2 * n + 3, dtype=np.int32) - reach
 
     def code_block(self, starts: np.ndarray, t0: int, depth: int) -> np.ndarray:
-        s, j, valid = _block_cells(starts, t0, depth, self.text.n)
-        h = self._reach.first_at_most(s + j, ~j)
-        return np.where(valid, 2 * j - h + 1, -1)
+        starts = np.asarray(starts, dtype=np.intp)
+        out = _windows(self._suffix, starts, t0, depth)
+        width = np.arange(t0 + 1, t0 + depth + 1, dtype=np.int32)  # the windows' lengths
+        rest = out > width  # L(j) starts before s
+        if not rest.any():
+            return out
+        whole = _windows(self._excess, 2 * starts, t0, depth) <= starts[:, None]
+        whole &= rest
+        np.copyto(out, width, where=whole)
+        rest &= ~whole
+        cell = np.flatnonzero(rest)  # a 2-D nonzero costs ~0.25 ms even when empty
+        if len(cell):
+            r, c = np.divmod(cell, depth)
+            s = starts[r]
+            j = s + t0 + c
+            out.reshape(-1)[cell] = 2 * j + 1 - self._reach.first_at_most(s + j, ~j)
+        return out
 
 
 _ENCODERS = {

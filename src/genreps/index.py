@@ -21,11 +21,12 @@ doubling from a packed first key (h0 symbols per int64) with one argsort
 per round, and lifts each adjacent LCP down the rounds' rank levels.
 Every other relation takes one block sort, a level-synchronous MSD radix
 sort that asks the encoder for blocks of code columns
-(`Encoder.code_block`) of all still-tied suffixes, packs each block into
-a few int64 words per suffix (as many code + 1 slots per word as fit in
-62 bits), sorts the words within their tie groups by one argsort or one
-lexsort, and writes each adjacent LCP at the leading differing slot of
-the first word where a tied pair differs.  It carries no LCP from one
+(`Encoder.code_block`: int32, or int64 for op) of all still-tied
+suffixes, packs each block into a few int64 words per suffix (as many
+code + 1 slots per word as fit in 62 bits), sorts the words within
+their tie groups by one argsort or one lexsort, and writes each
+adjacent LCP at the leading differing slot of the first word where a
+tied pair differs.  It carries no LCP from one
 suffix to the next (Kasai's carry), since that is unsound for
 window-clipped encodings.  Each path makes the three arrays once;
 nothing downstream converts them again.
@@ -147,7 +148,8 @@ def _block_sort(encoder: Encoder, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sort_block(block: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sort the rows of a code block keyed on (group, row) by packed words.
+    """Sort the rows of a code block (int32 or int64) keyed on (group,
+    row) by packed int64 words.
 
     Each row packs into int64 words: code + 1 (so the end-marker is 0) in
     `b` bits, b the bit length of the largest one, goes in slot c % per

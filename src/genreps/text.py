@@ -80,6 +80,11 @@ def text_from_symbols(values: Iterable[int]) -> Text:
     return _dense_text(dense, len(alphabet), tuple(alphabet.tolist()))
 
 
+# the bytes an "ints" input may hold: ASCII digits and the six ASCII
+# whitespace bytes that bytes.split() separates on
+_DIGITS_AND_SPACE = b"0123456789 \t\n\r\x0b\x0c"
+
+
 def parse_text(raw: bytes, mode: str = "bytes") -> Text:
     """Parse raw input into a Text.
 
@@ -91,8 +96,9 @@ def parse_text(raw: bytes, mode: str = "bytes") -> Text:
         return text_from_symbols(raw)
     if mode == "ints":
         tokens = raw.split()
-        bad = next((tok for tok in tokens if not tok.isdigit()), None)
-        if bad is not None:
+        if raw.translate(None, _DIGITS_AND_SPACE):
+            # some token holds a byte that is neither a digit nor a separator
+            bad = next(tok for tok in tokens if not tok.isdigit())
             raise ValueError(f"malformed integer token {bad.decode('utf-8', 'replace')!r}")
-        return text_from_symbols([int(tok) for tok in tokens])
+        return text_from_symbols(list(map(int, tokens)))
     raise ValueError(f"unknown input mode {mode!r}")

@@ -14,6 +14,7 @@ from genreps.encodings import (
     profiles,
     scer_match,
 )
+from genreps.index import ScerIndex
 from genreps.text import parse_text, text_from_symbols
 
 EX_TEXT = [1, 2, 1, 1, 2, 3, 2, 1, 4]
@@ -293,3 +294,76 @@ def test_nearest_before_matches_stack():
         for strict in (False, True):
             got = encodings._nearest_before(t, strict)
             assert got.tolist() == _stack_nearest(t.symbols, strict), (syms, strict)
+
+
+def _counting_descent(enc):
+    """Wrap a pal encoder's reach descent; the list gets the number of
+    cells of each call."""
+    cells = []
+    descend = enc._reach.first_at_most
+
+    def counted(lo, thr):
+        cells.append(len(lo))
+        return descend(lo, thr)
+
+    enc._reach.first_at_most = counted
+    return cells
+
+
+def test_pal_window_shortcuts():
+    """The two window gathers (L(j), and the window being a whole
+    palindrome) settle every cell of a unary text, so the reach descent
+    gets none, in these blocks or in the index's block sort; period-2,
+    Fibonacci and random binary texts leave it some.  Every block still
+    equals the oracle."""
+    rng = random.Random(45)
+    cases = [([0] * n, False) for n in (*range(21), 300)]
+    cases += [(([0, 1] * 50)[:n], True) for n in (17, 100)]
+    cases += [(fibonacci(n), True) for n in (34, 200)]
+    cases += [([rng.randrange(2) for _ in range(n)], True) for n in (40, 200)]
+    for syms, some in cases:
+        t = text_from_symbols(syms)
+        n = t.n
+        enc = make_encoder(t, "pal")
+        cells = _counting_descent(enc)
+        rows = oracle.canonical_rows(t, "pal")
+        starts = np.arange(1, n + 2)
+        for t0, depth in ((0, n + 1), (n // 3, n // 2 + 1)):
+            block = enc.code_block(starts, t0, depth).tolist()
+            assert block == [(rows[s] + [-1] * (t0 + depth))[t0 : t0 + depth] for s in starts.tolist()], syms
+        ScerIndex(t, encoder=enc)
+        assert (sum(cells) > 0) == some, (syms, cells)
+
+
+def test_pal_whole_window_inside_longer_suffix():
+    """In abcbabcba the windows bcb = T[6..8] and abcba = T[5..9] are whole
+    palindromes while the longest palindromic suffixes of T[1..8] and
+    T[1..9] (7 and 9 long) start before them: the second gather settles
+    them, with no descent."""
+    t = parse_text(b"abcbabcba")
+    enc = make_encoder(t, "pal")
+    cells = _counting_descent(enc)
+    assert enc.code_block(np.array([6]), 2, 1).tolist() == [[3]]
+    assert enc.code_block(np.array([5]), 4, 1).tolist() == [[5]]
+    assert cells == []
+    rows = oracle.canonical_rows(t, "pal")
+    assert enc.code_block(np.arange(1, 11), 0, 10).tolist() == [(rows[s] + [-1] * 10)[:10] for s in range(1, 11)]
+
+
+@pytest.mark.parametrize("relation", [*RELATIONS, "ct_suffix"])
+def test_code_block_window_edges(relation):
+    """The per-position arrays hold 2n+2 cells: blocks that read past
+    them are all end-markers, full blocks equal the oracle, and every
+    block but op's (whose codes reach about n**2) is int32."""
+    rng = random.Random(46)
+    for n in (0, 1, 5, 40):
+        t = random_text(rng, n, 3)
+        enc = make_encoder(t, relation)
+        dtype = np.int64 if relation == "op" else np.int32
+        for t0, depth in ((0, 2 * n + 4), (n + 1, n + 3), (2 * n + 1, 3), (2 * n + 3, 1)):
+            block = enc.code_block(np.array([n + 1]), t0, depth)
+            assert block.dtype == dtype and block.tolist() == [[-1] * depth], (n, t0, depth)
+        rows = oracle.canonical_rows(t, relation)
+        block = enc.code_block(np.arange(1, n + 2), 0, n + 1)
+        assert block.dtype == dtype
+        assert block.tolist() == [rows[s] + [-1] * s for s in range(1, n + 2)], (n, t.symbols)

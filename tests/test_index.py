@@ -374,19 +374,20 @@ def test_block_sort_narrow_rounds(monkeypatch):
 
 class _ScaledEncoder(Encoder):
     """Exact matching with each symbol c coded as c * 2**k + offset: wide
-    codes for the block sort, which does not know it is exact."""
+    codes for the block sort, which does not know it is exact.  Blocks
+    come in `dtype`, int32 as the window encoders give or int64 as op does."""
 
     relation = "scaled"
 
-    def __init__(self, text, k, offset):
+    def __init__(self, text, k, offset, dtype=np.int64):
         super().__init__(text)
-        self.k, self.offset = k, offset
+        self.k, self.offset, self.dtype = k, offset, dtype
 
     def code_block(self, starts, t0, depth):
         n = self.text.n
         j = np.asarray(starts, dtype=np.int64)[:, None] + np.arange(t0, t0 + depth)
         codes = (self.text.padded_np[np.minimum(j, n)] << self.k) + self.offset
-        return np.where(j <= n, codes, -1)
+        return np.where(j <= n, codes, -1).astype(self.dtype)
 
 
 def _scaled_reference(syms, k, offset):
@@ -408,7 +409,8 @@ def test_block_sort_packed_slot_widths(monkeypatch, bits):
     give rounds whose depth is and is not a multiple of the slots per
     word; periodic texts tie across whole words, and suffixes end inside
     a word.  The last setting is one column per round under a 16-cell
-    budget."""
+    budget.  Codes that fit in int32 come in int32 blocks too, whose
+    packed words must still be int64."""
     if bits == 1:
         params = [(1, 0, 0)]
     elif bits == 2:
@@ -431,10 +433,11 @@ def test_block_sort_packed_slot_widths(monkeypatch, bits):
             monkeypatch.setattr(index, "_ROUND_CELLS", cells)
             for syms in texts:
                 t = text_from_symbols(syms)
-                idx = ScerIndex(t, encoder=_ScaledEncoder(t, k, offset))
                 order, lcp = _scaled_reference(t.symbols, k, offset)
-                assert idx.order.tolist() == order, (sigma, k, start, syms)
-                assert idx.lcp.tolist() == lcp, (sigma, k, start, syms)
+                for dtype in (np.int64, np.int32) if bits <= 31 else (np.int64,):
+                    idx = ScerIndex(t, encoder=_ScaledEncoder(t, k, offset, dtype))
+                    assert idx.order.tolist() == order, (sigma, k, start, syms, dtype)
+                    assert idx.lcp.tolist() == lcp, (sigma, k, start, syms, dtype)
 
 
 def test_bit_length_exact():
