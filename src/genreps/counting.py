@@ -30,11 +30,12 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import starmap
 
 import numpy as np
 
 from .encodings import REVERSED_RELATION, PalEncoder, _WaveletMatrix
-from .index import _ROUND_CELLS, ScerIndex, TreeView, _run_starts
+from .index import _ROUND_CELLS, ScerIndex, TreeView, _cells, _run_starts
 from .text import Text
 
 
@@ -51,20 +52,14 @@ def _probe_ranges(index: ScerIndex) -> tuple[np.ndarray, ...]:
     if not len(w):
         return (w,) * 5
     # an interval with cuts c1 < ... < ck has children [lo, c1), [c1, c2), ..., [ck, end):
-    # with g intervals up to cut j, child j + g starts there and child j + g - 1 ends there
-    at = tree.new.cumsum(dtype=np.int32)
-    at += np.arange(len(at), dtype=np.int32)
-    first = at[heads] - 1  # the first child of each interval
-    a = np.empty(len(at) + len(heads), dtype=np.int32)
-    b = np.empty_like(a)
-    last = np.concatenate((first[1:], [len(a)])) - 1  # the last child of each interval
-    a[at], a[first] = tree.cut, lo
-    b[at - 1], b[last] = tree.cut, end
-    del at, tree
+    # lo goes before its first cut and end after its last
+    tails = np.append(heads[1:], len(tree.cut))
+    a, b = np.insert(tree.cut, heads, lo), np.insert(tree.cut, tails, end)
+    del tree
     # drop the first largest child of each interval
     size = b - a
-    child_node = np.arange(len(heads), dtype=np.int32).repeat(last - first + 1)
-    big = (size == np.maximum.reduceat(size, first)[child_node]).nonzero()[0]
+    child_node = np.arange(len(heads), dtype=np.int32).repeat(tails - heads + 1)
+    big = (size == np.maximum.reduceat(size, heads + np.arange(len(heads)))[child_node]).nonzero()[0]
     keep = np.ones(len(a), dtype=bool)
     keep[big[_run_starts(child_node[big])]] = False
     child_node = child_node[keep]
@@ -73,20 +68,12 @@ def _probe_ranges(index: ScerIndex) -> tuple[np.ndarray, ...]:
 
 def _probe_chunks(ranges: tuple[np.ndarray, ...]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The cells of the child ranges of `_probe_ranges`, as (child, index
-    position) arrays in chunks of at most `_ROUND_CELLS` cells each; a
-    child may straddle two chunks."""
+    position) arrays in chunks of at most `_ROUND_CELLS` cells each
+    (`index._cells`); a child may straddle two chunks.  A map, not a
+    generator, so no frame holds a chunk's offsets while the caller probes
+    it."""
     a, b = ranges[2], ranges[3]
-    size = (b - a).astype(np.int64)
-    cum = size.cumsum()
-    total = int(cum[-1]) if len(cum) else 0
-    start = cum - size  # the number of each child's first cell
-    shift = (a - start).astype(np.int32)  # index position minus cell number
-    for f0 in range(0, total, _ROUND_CELLS):
-        f1 = min(f0 + _ROUND_CELLS, total)
-        c0, c1 = cum.searchsorted([f0, f1 - 1], side="right").tolist()
-        met = slice(c0, c1 + 1)  # the children the chunk meets, and its share of each
-        child = np.arange(c0, c1 + 1, dtype=np.int32).repeat(np.minimum(cum[met], f1) - np.maximum(start[met], f0))
-        yield child, np.arange(f0, f1, dtype=np.int32) + shift[child]
+    return starmap(lambda child, offset: (child, a[child] + offset), _cells(b - a, _ROUND_CELLS))
 
 
 def right_nonextendible(index: ScerIndex) -> np.ndarray:

@@ -30,6 +30,13 @@ tied pair differs.  It carries no LCP from one
 suffix to the next (Kasai's carry), since that is unsound for
 window-clipped encodings.  Each path makes the three arrays once;
 nothing downstream converts them again.
+
+The same cell budget bounds the batched passes downstream: `_cells`
+walks the cells of consecutive ranges in chunks of at most a budget of
+cells, a range straddling two chunks where it must.  The right
+non-extendible probes (`counting`) walk their child ranges through it,
+and the sampled repeat enumerators (`repeats`) the samples of their
+periods.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from .text import Text
 _START_DEPTH = 24
 # Upper limit on the code cells one round reads (block rows x columns),
 # which bounds the block's memory; rounds go narrower to stay under it.
-# The counting pass's probe chunks share the budget.
+# The `_cells` walks of counting and repeats take their budgets from it.
 _ROUND_CELLS = 1 << 17
 
 
@@ -342,6 +349,24 @@ class ScerIndex:
         return lpf
 
 
+def _cells(sizes: np.ndarray, budget: int):
+    """The cells of consecutive ranges of the given sizes, in order, as
+    (range, offset) int32 arrays, the offset counted from the range's
+    first cell, in chunks of at most `budget` cells each; a range may
+    straddle two chunks."""
+    ends = np.cumsum(sizes, dtype=np.int64)
+    total = int(ends[-1]) if len(ends) else 0
+    starts = ends - sizes  # the number of each range's first cell
+    for f0 in range(0, total, budget):
+        f1 = min(f0 + budget, total)
+        r0, r1 = ends.searchsorted([f0, f1 - 1], side="right").tolist()
+        met = slice(r0, r1 + 1)  # the ranges the chunk meets, and its share of each
+        share = np.minimum(ends[met], f1) - np.maximum(starts[met], f0)
+        r = np.arange(r0, r1 + 1, dtype=np.int32).repeat(share)
+        # cells numbered from f0 fit int32, however many the ranges hold
+        yield r, np.arange(f1 - f0, dtype=np.int32) - (starts[met] - f0).astype(np.int32).repeat(share)
+
+
 def _run_starts(v: np.ndarray) -> np.ndarray:
     """Mask of the positions where a run of equal values starts in v."""
     new = np.empty(len(v), dtype=bool)
@@ -384,13 +409,3 @@ class TreeView:
         del key
         # the next position with an LCP below w: the sentinel -1 ends the rmq
         self.end = rmq.first_at_most(cut[heads] + 1, self.weight - 1).astype(np.int32)
-        self.rank = index.rank
-
-    def lca_weight(self, i: int, j: int) -> int:
-        """The string depth where the suffixes i != j part: the largest weight
-        of an interval that holds both ranks, 0 (the root) if none does."""
-        if i == j:
-            raise ValueError("lca of a leaf with itself is the leaf")
-        ri, rj = sorted((int(self.rank[i]), int(self.rank[j])))
-        holds = (self.lo <= ri) & (rj < self.end)
-        return int(self.weight[holds].max(initial=0))

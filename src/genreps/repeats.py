@@ -30,15 +30,20 @@ and Sokol (J. Comput. Biol. 2001) and Kolpakov and Kucherov (TCS 2003):
   a segment that reaches the sample's last start with no cut there goes
   on in the next sample;
 * an MGR with gap ratio l/u <= alpha has an arm u >= ceil(l/alpha), so it
-  holds a multiple of that step: one jump each way from those samples.
+  holds a multiple of that step: its block is [b_1+1 .. f_1-1] around
+  such a sample, from a jump with k = 0 each way.
 
-Samples go in chunks of at most `index._ROUND_CELLS` cells, and a chunk
-caps k at its largest period, since a window of period l holds at most l
-mismatches.  The jumps cost O(nk log n) against the Θ(n^2) of a scan over
-every (period, start) cell, so they are meant for small k, the paper's
-regime: its O(nk log k) bound on the runs is informative only for k log k
-well below n.  Two paths keep one numpy scan per period over d: unbounded
-MGRs, whose Θ(n^2) output on random text sampling cannot beat, and
+k-runs, uniform k-runs and bounded MGRs read one sampled-jump pass,
+`_sampled`.  It checks or builds the jump index once and walks the
+samples of every period through `index._cells`, the walk the right
+non-extendible probes of `counting` take too, in chunks of at most
+`_ROUND_CELLS` cells; a chunk caps k at its largest period, since a
+window of period l holds at most l mismatches.  The jumps cost
+O(nk log n) against the Θ(n^2) of a scan over every (period, start)
+cell, so they are meant for small k, the paper's regime: its O(nk log k)
+bound on the runs is informative only for k log k well below n.  Two
+paths keep one numpy scan per period over d: unbounded MGRs, whose
+Θ(n^2) output on random text sampling cannot beat, and
 `uniform_start_intervals`, which the reference p-square construction
 `psquares.candidate_intervals` calls with k = sigma (the p-square reports
 read the param square table instead).  Records store
@@ -60,7 +65,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .index import _ROUND_CELLS, ScerIndex
+from .index import _ROUND_CELLS, ScerIndex, _cells
 from .text import Text, _dense_text
 
 
@@ -211,20 +216,6 @@ def _index_for(t: Text, index: ScerIndex | None) -> ScerIndex:
     return index
 
 
-def _chunks(n: int, ells: np.ndarray, steps: np.ndarray, width: int):
-    """The samples q = step, 2*step, ... <= n-l of every period l, in period
-    order, as (period index, l, q) arrays of at most _ROUND_CELLS cells of
-    `width` cells per sample."""
-    counts = (n - ells) // steps
-    ends = counts.cumsum()
-    total = int(ends[-1]) if len(ends) else 0
-    size = max(1, _ROUND_CELLS // width)
-    for g0 in range(0, total, size):
-        g = np.arange(g0, min(g0 + size, total))
-        p = ends.searchsorted(g, side="right")
-        yield p, ells[p], (g - ends[p] + counts[p] + 1) * steps[p]
-
-
 def _jumps(index: ScerIndex, n: int, ell: np.ndarray, q: np.ndarray, k: int):
     """The k+1 mismatches of each sample q on each side: (B, F), two (m, k+1)
     arrays with B[:, a] = b_{a+1} and F[:, a] = f_{a+1}.
@@ -242,19 +233,42 @@ def _jumps(index: ScerIndex, n: int, ell: np.ndarray, q: np.ndarray, k: int):
     end = 2 * n + 2  # T[x] sits at position end - x of T^R
     x = np.concatenate((q, end + 1 - q))
     step = np.concatenate((ell, -ell))
-    last = np.concatenate((np.minimum(q + ell, n - ell), np.minimum(end + ell - q, end - 1)))
-    hits = np.zeros((k + 1, 2 * m), dtype=np.int64)
-    on = np.arange(2 * m)  # the sides that go on
-    for r in range(k + 1):
-        hit = x + index.lcp_batch(x, x + step)
-        hits[r, on] = hit
+    hits = np.empty((k + 1, 2 * m), dtype=np.int64)
+    hits[0] = hit = x + index.lcp_batch(x, x + step)
+    if k:  # the sides that go on, and where they stop
+        on = np.arange(2 * m)
+        last = np.concatenate((np.minimum(q + ell, n - ell), np.minimum(end + ell - q, end - 1)))
+    for r in range(1, k + 1):
         keep = hit <= last
         if not keep.any():
+            hits[r:] = hits[r - 1]  # every side has stopped
             break
         on, x, step, last = on[keep], hit[keep] + 1, step[keep], last[keep]
-    # hits only grow along a side: a running maximum repeats a stopped one
-    hits = np.maximum.accumulate(hits, axis=0).T
+        hit = x + index.lcp_batch(x, x + step)
+        hits[r] = hits[r - 1]  # a side that stopped repeats its last hit
+        hits[r, on] = hit
+    hits = hits.T
     return end - hits[m:], hits[:m]
+
+
+def _sampled(t: Text, k: int, ells: np.ndarray, steps: np.ndarray, index: ScerIndex | None, width: int):
+    """The jumps from the samples q = step, 2*step, ... <= n-l of every
+    period l = ells[p], step = steps[p]: per chunk of samples, in period
+    order and then by q, the arrays (p, l, q, B, F) with (B, F) the k+1
+    mismatches of each side (`_jumps`).
+
+    The jump index is checked or built once.  The samples of all periods
+    are one walk of `index._cells`, a sample taking 2k + width cells of the
+    `_ROUND_CELLS` budget, and a chunk caps k at its largest period, since
+    a window of period l holds at most l mismatches.
+    """
+    n = t.n
+    index = _index_for(t, index)
+    k = min(k, int(ells.max()))
+    for p, offset in _cells((n - ells) // steps, max(1, _ROUND_CELLS // (2 * k + width))):
+        ell = ells[p]
+        q = (offset + 1) * steps[p]
+        yield (p, ell, q, *_jumps(index, n, ell, q, min(k, int(ell.max()))))
 
 
 def _good_starts(n: int, ell: np.ndarray, q: np.ndarray, B: np.ndarray, F: np.ndarray):
@@ -305,13 +319,10 @@ def _k_run_rows(t: Text, k: int, periods, index):
     ells = _periods(n, periods)
     if k < 0 or not len(ells):
         return ells[:0], ells[:0], ells[:0]
-    index = _index_for(t, index)
-    k = min(k, int(ells.max()))
-    span = n + 2  # period index p keys the starts p*span + [1..n]
+    span = np.int64(n + 2)  # period index p keys the starts p*span + [1..n]
     runs = []
-    for p, ell, q in _chunks(n, ells, ells, 2 * k + 2):
-        # a window of period l has at most l mismatches
-        lo, hi = _good_starts(n, ell, q, *_jumps(index, n, ell, q, min(k, int(ell.max()))))
+    for p, ell, q, B, F in _sampled(t, k, ells, ells, index, 2):
+        lo, hi = _good_starts(n, ell, q, B, F)
         key = (p * span)[:, None]
         ok = lo <= hi
         runs.append(_merge((lo + key)[ok], (hi + key)[ok]))
@@ -351,10 +362,7 @@ def _uniform_segments(t: Text, k: int, periods, index):
     ells = _periods(n, periods)
     if k < 0 or not len(ells):
         return
-    index = _index_for(t, index)
-    k = min(k, int(ells.max()))
-    for p, ell, q in _chunks(n, ells, ells, 2 * k + 4):
-        B, F = _jumps(index, n, ell, q, min(k, int(ell.max())))
+    for _, ell, q, B, F in _sampled(t, k, ells, ells, index, 4):
         lo, hi = _good_starts(n, ell, q, B, F)
         live = (lo <= hi).any(axis=1)  # no good start, no uniform k-run
         if not live.any():
@@ -456,20 +464,15 @@ def mgrs(
     ]
     if not pairs:
         return []
-    index = _index_for(t, index)
     ells, steps = np.array(pairs, dtype=np.int64).T
-    end = 2 * n + 2
     x, arm, period = [], [], []
-    for p, ell, q in _chunks(n, ells, steps, 2):
+    for p, ell, q, B, F in _sampled(t, 0, ells, steps, index, 2):
+        # the block around q is [b+1 .. f-1], b and f its nearest mismatches
+        b, f = B[:, 0], F[:, 0]
+        u = f - b - 1
         step = steps[p]
-        m = len(q)
-        got = index.lcp_batch(
-            np.concatenate((q, end + 1 - q)), np.concatenate((q + ell, end + 1 - q - ell))
-        )
-        right, left = got[:m], got[m:]
-        u = left + right
-        keep = (right > 0) & (left < step) & (u >= step) & (u < ell)
-        x.append((q - left)[keep])
+        keep = (f > q) & (b >= q - step) & (u >= step) & (u < ell)
+        x.append(b[keep] + 1)
         arm.append(u[keep])
         period.append(ell[keep])
     x, arm, period = (np.concatenate(v) for v in (x, arm, period))

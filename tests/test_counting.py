@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import fibonacci, lcp, random_text
+from conftest import fibonacci, random_text
 from genreps import counting, encodings, oracle, repeats
 from genreps.counting import (
     count_distinct,
@@ -41,19 +41,18 @@ def test_nonextendible_random_vs_lcp_definition():
             [0] * n, [i % 2 for i in range(n)], [i % 3 for i in range(n)], fibonacci(n)
         )]
     for t in texts:
+        # every square (i, p) of the text, sorted by (i, p)
+        i, p = np.meshgrid(np.arange(1, t.n + 1), np.arange(1, t.n // 2 + 1), indexing="ij")
+        fits = i + 2 * p - 1 <= t.n
+        i, p = i[fits], p[fits]
         for rel in RELATIONS:
             fwd = ScerIndex(t, rel)
             for idx in (fwd, reversed_index(fwd)):
-                pairs = [tuple(row) for row in right_nonextendible(idx).tolist()]
-                got = set(pairs)
-                # rows sorted by (i, p), each pair once
-                assert pairs == sorted(got), (idx.relation, t.symbols)
-                want = set()
-                for i in range(1, t.n + 1):
-                    for p in range(1, (t.n - i + 1) // 2 + 1):
-                        if lcp(idx, i, i + p) == p:
-                            want.add((i, p))
-                assert got == want, (idx.relation, t.symbols)
+                # the definition, one batch LCP query over all pairs (i, i+p):
+                # the rows come sorted by (i, p), each pair once
+                hit = idx.lcp_batch(i, i + p) == p
+                want = np.stack((i[hit], p[hit]), axis=1).tolist()
+                assert right_nonextendible(idx).tolist() == want, (idx.relation, t.symbols)
 
 
 def test_reversed_pal_index_reuses_mirrored_radii(monkeypatch):
@@ -348,3 +347,56 @@ def test_count_agrees_with_report():
     for _ in range(10):
         t = random_text(rng, rng.randint(0, 60), rng.choice([2, 3, 4]))
         assert count_nonequivalent(t, "param") == report_nonequivalent(t).count
+
+
+def _rows_nest(inner: dict, outer: dict, n: int) -> bool:
+    """Does every row of the family `inner` lie inside a row of `outer` with
+    the same half-period?  One searchsorted over outer's (p, lo) keys."""
+    h1, lo1, hi1 = counting._flatten(inner)
+    h2, lo2, hi2 = counting._flatten(outer)
+    at = np.searchsorted(h2 * (n + 1) + lo2, h1 * (n + 1) + lo1, side="right") - 1
+    return bool((at >= 0).all() and (h2[at] == h1).all() and (hi1 <= hi2[at]).all())
+
+
+@pytest.mark.parametrize(
+    "name", ["random2", "random4", "random26", "fibonacci", "period3"]
+)
+def test_invariants_past_oracle_cap(name):
+    """Checks that need no brute force, on texts 10-25x past the oracle cap:
+    every table's rows are disjoint maximal intervals; the square sets nest
+    as exact <= param <= pal and exact <= op <= ct, per half-period and in
+    their distinct counts; no relation has more classes than distinct
+    squares, and param fewer than n*sigma; and T and its reversal have
+    equal counts under every relation closed under reversal (ct is not:
+    with ties, Cartesian-tree matching is not)."""
+    rng = random.Random(zlib.crc32(name.encode()))
+    t = {
+        "random2": lambda: random_text(rng, 5000, 2),
+        "random4": lambda: random_text(rng, 4000, 4),
+        "random26": lambda: random_text(rng, 3000, 26),
+        "fibonacci": lambda: text_from_symbols(fibonacci(2584)),
+        "period3": lambda: text_from_symbols([i % 3 for i in range(3000)]),
+    }[name]()
+    counts = {}
+    for text, rels in ((t, RELATIONS), (t.reversed(), ("exact", "param", "op", "pal"))):
+        tables = {rel: squares_table(ScerIndex(text, rel)) for rel in rels}
+        exact_index = tables["exact"].index
+        for rel, table in tables.items():
+            # per half-period, the rows are disjoint and non-adjacent, sorted by lo
+            half, lo, hi = counting._flatten(table.intervals)
+            assert (lo <= hi).all() and ((half[1:] > half[:-1]) | (lo[1:] > hi[:-1] + 1)).all(), rel
+            counts[text, rel] = (
+                count_nonequivalent(text, rel, table=table),
+                count_distinct(text, rel, table=table, exact_index=exact_index),
+            )
+        if text is t:
+            for chain in (("exact", "param", "pal"), ("exact", "op", "ct")):
+                for inner, outer in zip(chain, chain[1:]):
+                    assert _rows_nest(tables[inner].intervals, tables[outer].intervals, t.n), (inner, outer)
+                    assert counts[t, inner][1] <= counts[t, outer][1], (inner, outer)
+    for rel in RELATIONS:
+        nonequivalent, distinct = counts[t, rel]
+        assert nonequivalent <= distinct, rel
+        if rel != "ct":
+            assert counts[t.reversed(), rel] == (nonequivalent, distinct), rel
+    assert counts[t, "param"][0] < t.n * t.sigma

@@ -175,19 +175,6 @@ def test_lcp_batch_matches_lcp_suffixes():
             assert got == [oracle.brute_lcp(rows, a, b) for a, b in pairs]
 
 
-def test_tree_lca_weights_match_lcp():
-    rng = random.Random(10)
-    for _ in range(6):
-        t = random_text(rng, rng.randint(2, 30), rng.choice([2, 3]))
-        for rel in ("exact", "param", "pal"):
-            idx = ScerIndex(t, rel)
-            tree = TreeView(idx)
-            starts = list(idx.order)
-            for _ in range(60):
-                i, j = rng.sample(starts, 2)
-                assert tree.lca_weight(i, j) == lcp(idx, i, j)
-
-
 def _intervals_by_definition(lcp):
     """{(lo, end, w)}: for every r with lcp[r] = w > 0, lo the largest q < r
     and end the smallest q > r with lcp[q] < w, end = n+1 if none."""
@@ -226,6 +213,19 @@ def test_tree_banana():
     tree = TreeView(ScerIndex(parse_text(b"banana"), "exact"))
     got = sorted(zip(tree.lo.tolist(), tree.end.tolist(), tree.weight.tolist()))
     assert got == [(1, 4, 1), (2, 4, 3), (5, 7, 2)]
+
+
+@pytest.mark.parametrize("budget", [1, 3, 7, 100])
+def test_cells_walk(budget):
+    """The chunks of `_cells` hold at most the budget, as int32 arrays, and
+    together every cell of the ranges once, in order; empty ranges give none."""
+    rng = random.Random(budget)
+    for sizes in ([], [0, 0], [5], [0, 3, 0, 0, 9, 1, 0], [rng.randint(0, 12) for _ in range(40)]):
+        want = [(r, x) for r, size in enumerate(sizes) for x in range(size)]
+        chunks = list(index._cells(np.array(sizes, dtype=np.int64), budget))
+        assert all(r.dtype == x.dtype == np.int32 and 0 < len(r) == len(x) <= budget for r, x in chunks)
+        assert [len(r) for r, _ in chunks[:-1]] == [budget] * (len(chunks) - 1)
+        assert [(int(a), int(b)) for r, x in chunks for a, b in zip(r, x)] == want
 
 
 def test_order_invariant_under_alphabet_bijection():
