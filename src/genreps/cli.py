@@ -118,7 +118,6 @@ def cmd_kruns(args) -> int:
     periods = _parse_periods(args.period)
     t = _read_text(args)
     recs = repeats.k_runs(t, args.k, periods)
-    recs.sort(key=lambda r: (r.ell, r.a))
     _emit(sys.stdout, args.fmt, "krun", "k", [(r.a, r.b, r.ell, r.k) for r in recs])
     return 0
 
@@ -128,7 +127,6 @@ def cmd_uniform(args) -> int:
     periods = _parse_periods(args.period)
     t = _read_text(args)
     recs = repeats.uniform_k_runs(t, args.k, periods)
-    recs.sort(key=lambda r: (r.ell, r.a))
     _emit(
         sys.stdout,
         args.fmt,
@@ -144,7 +142,6 @@ def cmd_mgr(args) -> int:
     periods = _parse_periods(args.period)
     t = _read_text(args)
     recs = repeats.mgrs(t, alpha, periods)
-    recs.sort(key=lambda r: (r.ell, r.x))
     _emit(sys.stdout, args.fmt, "mgr", "arm_len", [(r.x, r.y, r.ell, r.arm_len) for r in recs])
     return 0
 
@@ -153,7 +150,6 @@ def cmd_gruns(args) -> int:
     periods = _parse_periods(args.period)
     t = _read_text(args)
     recs = repeats.generalised_runs(t, periods)
-    recs.sort(key=lambda r: (r.p, r.x))
     _emit(sys.stdout, args.fmt, "grun", "extra", [(r.x, r.y, r.p, 0) for r in recs])
     return 0
 

@@ -24,11 +24,14 @@ and Sokol (J. Comput. Biol. 2001) and Kolpakov and Kucherov (TCS 2003):
 * the good starts of sample q are the union over a of (b_{a+1},
   f_{k-a+1} - l], clipped to the windows holding q, and one running
   maximum over them, in sample order, merges them into k-runs;
-* a sample's uniform segments are cut at its b's and f-l's only (an f
-  is at least q, so it falls on or past the sample's last start), a
-  segment's count is #{b >= u} + #{f <= u+l-1} at its first start u, and
-  a segment that reaches the sample's last start with no cut there goes
-  on in the next sample;
+* a start u lies in the windows of one sample only, q = l*ceil(u/l),
+  whose starts are (c0..c1] with c0 = q-l and c1 = min(q, n-2l+1), so
+  each uniform segment is reported by the sample that owns its first
+  start: it begins after a cut at a b or an f-l in [c0..c1] (an f is at
+  least q, so it falls on or past c1), its count is #{b >= u} +
+  #{f <= u+l-1} at u, and a segment that reaches c1 uncut ends at the
+  first cut past it, f_1 or the first f-l >= c1 (at most n-2l+1), which
+  the forward jumps hold whenever the segment's count is at most k;
 * an MGR with gap ratio l/u <= alpha has an arm u >= ceil(l/alpha), so it
   holds a multiple of that step: its block is [b_1+1 .. f_1-1] around
   such a sample, from a jump with k = 0 each way.
@@ -281,16 +284,6 @@ def _good_starts(n: int, ell: np.ndarray, q: np.ndarray, B: np.ndarray, F: np.nd
     return lo, hi
 
 
-def _spans(head: np.ndarray):
-    """First and last entry of each stretch of entries that begins where
-    head is set (head[0] must be)."""
-    first = head.nonzero()[0]
-    last = np.empty_like(first)
-    last[:-1] = first[1:] - 1
-    last[-1] = len(head) - 1
-    return first, last
-
-
 def _merge(lo: np.ndarray, hi: np.ndarray):
     """The maximal runs of the union of integer intervals [lo..hi], given
     sorted by lo: their (lo, hi) arrays."""
@@ -300,16 +293,8 @@ def _merge(lo: np.ndarray, hi: np.ndarray):
     head = np.empty(len(lo), dtype=bool)
     head[0] = True
     np.greater(lo[1:], top[:-1] + 1, out=head[1:])
-    first, last = _spans(head)
-    return lo[first], top[last]
-
-
-def _chains(cont: np.ndarray):
-    """First and last entry of each chain, where an entry with cont set goes
-    on from the entry before it (entry 0 always starts a chain)."""
-    head = ~cont
-    head[0] = True
-    return _spans(head)
+    first = head.nonzero()[0]
+    return lo[first], top[np.append(first[1:], len(lo)) - 1]
 
 
 def _k_run_rows(t: Text, k: int, periods, index):
@@ -355,9 +340,9 @@ def generalised_runs(t: Text, periods=None, index: ScerIndex | None = None) -> l
 
 def _uniform_segments(t: Text, k: int, periods, index):
     """Per chunk of samples, the uniform segments with count <= k, in period
-    order and then by start: (l, first start, last start, cont, known, row,
-    lo, hi) arrays.  cont marks a segment that goes on from the one before
-    it; the mismatches of its first window are known[row, lo:hi]."""
+    order and then by start: (l, first start, last start, known, row, lo,
+    hi) arrays; the mismatches of a segment's first window are
+    known[row, lo:hi]."""
     n = len(_symbols(t)) - 1
     ells = _periods(n, periods)
     if k < 0 or not len(ells):
@@ -368,13 +353,21 @@ def _uniform_segments(t: Text, k: int, periods, index):
         if not live.any():
             continue
         ell, q, B, F = ell[live], q[live], B[live], F[live]
-        # segment starts lie in (c0..c1]; cuts come from d[c] (the b's; an
-        # f is at least q >= c1) and d[c+l] (the f - l's), and those
-        # outside move onto c1
+        # a sample reports the segments whose first start lies in its
+        # (c0..c1] after a cut at d[c] (the b's; an f is at least q >= c1)
+        # or at d[c+l] (the f - l's): with no cut at c0, the segment from
+        # c0+1 is the sample before's.  The cuts past c1 stay in place, so
+        # one that reaches c1 uncut ends at the first of f_1, the f - l's
+        # >= c1 and n-2l+1, and the b's below c0 move onto n-2l+1.  The
+        # forward jumps hold that end when its count is at most k: with no
+        # cut at c1 = q, d[q] = d[q+l] = 0, so [q..q+l] holds at most
+        # min(k, l-1) mismatches and the forward side's stop, its first
+        # mismatch past q+l, is in F.
+        cap = (n - 2 * ell + 1)[:, None]
         c0 = (q - ell)[:, None]
-        c1 = np.minimum(q, n - 2 * ell + 1)[:, None]
-        cuts = np.concatenate((c0, c1, B, F - ell[:, None]), axis=1)
-        cuts = np.where((cuts < c0) | (cuts > c1), c1, cuts)
+        c1 = np.minimum(q[:, None], cap)
+        cuts = np.concatenate((B, F - ell[:, None], F[:, :1], cap), axis=1)
+        cuts = np.where(cuts < c0, cap, cuts)
         cuts.sort(axis=1)
         # a window [u..u+l) holds the known mismatches between two
         # searchsorted bounds in its sample's ascending row of b's and f's;
@@ -385,12 +378,11 @@ def _uniform_segments(t: Text, k: int, periods, index):
         u = cuts[:, :-1] + 1
         lo = flat.searchsorted(u + off)
         hi = flat.searchsorted(u + (ell[:, None] - 1) + off, side="right")
-        rows, cols = ((u <= cuts[:, 1:]) & (hi - lo <= k)).nonzero()
+        rows, cols = ((u <= c1) & (u <= cuts[:, 1:]) & (hi - lo <= k)).nonzero()
         if len(rows):
-            cont = (cols == 0) & (cuts[rows, 1] != c0[rows, 0]) & (c0[rows, 0] > 0)
             base = rows * known.shape[1]
             yield (
-                ell[rows], u[rows, cols], cuts[rows, cols + 1], cont,
+                ell[rows], u[rows, cols], cuts[rows, cols + 1],
                 known, rows, lo[rows, cols] - base, hi[rows, cols] - base,
             )
 
@@ -399,38 +391,25 @@ def uniform_k_runs(t: Text, k: int, periods=None, index: ScerIndex | None = None
     """All maximal uniform k-runs: stretches of equal-length squares whose
     mismatch sets coincide and have size at most k."""
     k = operator.index(k)
-    ells, firsts, ends, conts, sets = [], [], [], [], []
+    out: list[UniformKRun] = []
     ints = np.arange(len(_symbols(t)), dtype=object)  # one int object per position
-    for ell, u, last, cont, known, row, lo, hi in _uniform_segments(t, k, periods, index):
-        head, tail = _chains(cont)
-        ells.append(ell[head])
-        firsts.append(u[head])
-        ends.append(last[tail])
-        conts.append(cont[head])
-        # one gather of the rows of known that start a run, then one list slice each
-        rows, at = np.unique(row[head], return_inverse=True)
+    for ell, u, last, known, row, lo, hi in _uniform_segments(t, k, periods, index):
+        # one gather of the rows of known that hold a segment, then one list slice each
+        rows, at = np.unique(row, return_inverse=True)
         got = ints[known[rows]].tolist()
-        sets += [
-            tuple(got[r][a:b]) for r, a, b in zip(at.tolist(), lo[head].tolist(), hi[head].tolist())
+        out += [
+            UniformKRun(a, b, e, tuple(got[r][x:y]), k)
+            for a, b, e, r, x, y in zip(
+                u.tolist(), (last + 2 * ell).tolist(), ell.tolist(), at.tolist(), lo.tolist(), hi.tolist()
+            )
         ]
-    if not ells:
-        return []
-    ell, first, last = (np.concatenate(v) for v in (ells, firsts, ends))
-    if len(conts) > 1:  # a chain that crosses a chunk boundary joins the one before it here
-        head, tail = _chains(np.concatenate(conts))
-        ell, first, last = ell[head], first[head], last[tail]
-        sets = [sets[h] for h in head.tolist()]
-    return [
-        UniformKRun(a, b, e, m, k)
-        for a, b, e, m in zip(first.tolist(), (last + 2 * ell).tolist(), ell.tolist(), sets)
-    ]
+    return out
 
 
 def count_uniform_k_runs(t: Text, k: int, periods=None, index: ScerIndex | None = None) -> int:
     """Number of maximal uniform k-runs (no records materialized): one per
-    segment that does not go on from the segment before it."""
-    segments = _uniform_segments(t, operator.index(k), periods, index)
-    return sum(int(np.count_nonzero(~cont)) for _, _, _, cont, *_ in segments)
+    segment."""
+    return sum(len(u) for _, u, *_ in _uniform_segments(t, operator.index(k), periods, index))
 
 
 def mgrs(

@@ -20,6 +20,7 @@ from genreps.counting import (
 from genreps.encodings import RELATIONS
 from genreps.index import ScerIndex
 from genreps.oracle import CursorCounter
+from genreps.psquares import report_distinct, report_nonequivalent
 from genreps.text import parse_text, text_from_symbols
 
 
@@ -341,8 +342,6 @@ def test_sweep_equals_naive_rangecount():
 
 
 def test_count_agrees_with_report():
-    from genreps.psquares import report_nonequivalent
-
     rng = random.Random(13)
     for _ in range(10):
         t = random_text(rng, rng.randint(0, 60), rng.choice([2, 3, 4]))
@@ -366,9 +365,10 @@ def test_invariants_past_oracle_cap(name):
     every table's rows are disjoint maximal intervals; the square sets nest
     as exact <= param <= pal and exact <= op <= ct, per half-period and in
     their distinct counts; no relation has more classes than distinct
-    squares, and param fewer than n*sigma; and T and its reversal have
-    equal counts under every relation closed under reversal (ct is not:
-    with ties, Cartesian-tree matching is not)."""
+    squares, and param fewer than n*sigma; the param reports list as many
+    occurrences as the param counts; and T and its reversal have equal
+    counts under every relation closed under reversal (ct is not: with
+    ties, Cartesian-tree matching is not)."""
     rng = random.Random(zlib.crc32(name.encode()))
     t = {
         "random2": lambda: random_text(rng, 5000, 2),
@@ -394,6 +394,12 @@ def test_invariants_past_oracle_cap(name):
                 for inner, outer in zip(chain, chain[1:]):
                     assert _rows_nest(tables[inner].intervals, tables[outer].intervals, t.n), (inner, outer)
                     assert counts[t, inner][1] <= counts[t, outer][1], (inner, outer)
+            # the p-square reports list one occurrence per counted square
+            reports = (
+                report_nonequivalent(t, table=tables["param"]),
+                report_distinct(t, table=tables["param"], exact_index=exact_index),
+            )
+            assert tuple(len(r.occurrences) for r in reports) == counts[t, "param"]
     for rel in RELATIONS:
         nonequivalent, distinct = counts[t, rel]
         assert nonequivalent <= distinct, rel

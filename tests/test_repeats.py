@@ -341,13 +341,29 @@ def _check_against_scan(t, k, periods=None):
     assert count == len(want_uni)
 
 
+def _near_periodic(rng, count):
+    """Texts of a period-1..5 base with 1-3 positions set to a symbol not in
+    it, n <= 160: uniform segments that cross samples with a non-empty
+    mismatch set, and segments over many samples that end at a mismatch
+    inside the text."""
+    texts = []
+    for _ in range(count):
+        n, p = rng.randint(20, 160), rng.randint(1, 5)
+        base = [rng.randrange(3) for _ in range(p)]
+        sym = [base[i % p] for i in range(n)]
+        for i in rng.sample(range(n), rng.randint(1, 3)):
+            sym[i] = 3
+        texts.append(text_from_symbols(sym))
+    return texts
+
+
 def _sampled_corpus():
     rng = random.Random(14)
     texts = [random_text(rng, n, sigma) for n in (0, 1, 2, 3) for sigma in (1, 2)]
     texts += [
         random_text(rng, rng.randint(4, 160), rng.choice([1, 2, 3, 4, 26])) for _ in range(24)
     ]
-    return texts + _structured_texts()
+    return texts + _structured_texts() + _near_periodic(rng, 12)
 
 
 def test_sampled_matches_scan_reference():
@@ -408,11 +424,31 @@ def test_sampled_chunk_boundaries(monkeypatch):
     rng = random.Random(17)
     texts = [random_text(rng, rng.randint(20, 120), rng.choice([1, 2, 3])) for _ in range(8)]
     texts += [text_from_symbols([0] * 80), text_from_symbols(fibonacci(90))]
+    texts += _near_periodic(rng, 6)
     want = [[_sampled(t, k) for k in (0, 2, 5)] for t in texts]
     want_m = [mgrs(t, 3) for t in texts]
     monkeypatch.setattr(repeats, "_ROUND_CELLS", 40)
     assert [[_sampled(t, k) for k in (0, 2, 5)] for t in texts] == want
     assert [mgrs(t, 3) for t in texts] == want_m
+
+
+def test_records_sorted_by_period_and_start(monkeypatch):
+    """Every enumerator returns its records in strictly increasing (period,
+    start) order, which the CLI prints as it comes, also when a budget of
+    a few samples per chunk splits the periods across chunks."""
+    rng = random.Random(21)
+    texts = [random_text(rng, rng.randint(20, 160), rng.choice([2, 3, 26])) for _ in range(6)]
+    texts += _near_periodic(rng, 4) + [text_from_symbols(fibonacci(150))]
+    for cells in (repeats._ROUND_CELLS, 40):
+        monkeypatch.setattr(repeats, "_ROUND_CELLS", cells)
+        for t in texts:
+            runs = [call(t, k) for call in (k_runs, uniform_k_runs) for k in (0, 2)]
+            reps = [generalised_runs(t), mgrs(t), mgrs(t, 3), mgrs(t, 1.5)]
+            keys = [[(r.ell, r.a) for r in recs] for recs in runs]
+            keys += [[(r.period, r.x) for r in recs] for recs in reps]
+            for key in keys:
+                assert all(a < b for a, b in zip(key, key[1:])), t.symbols
+            assert len({p for p, _ in keys[3]}) > 1  # uniform 2-runs of several periods
 
 
 def test_generalised_runs_are_zero_runs():
